@@ -3,15 +3,13 @@ package main
 // Single source of shared flag definitions. The run, plan, coord,
 // serve and work subcommands overlap on most of their flags — the
 // -exp/-scale/-seed trio, -v, -cache-dir, -snapshot-dir, the fleet and
-// crash-injection knobs, -stream — and before this file each
-// subcommand declared its copies inline, so a rename or default change
-// in one place could silently skew the others (and a new shared flag
-// like -stream could land on run but drift from coord). Every shared
-// flag is now declared by exactly one builder below; the per-
-// subcommand newXxxFlags constructors compose them plus their own
-// private flags. TestSharedFlagParity walks all five flag sets and
-// asserts that a flag name appearing in several subcommands carries
-// one default everywhere.
+// crash-injection knobs, -stream — so each shared flag is declared by
+// exactly one builder below, and a rename or default change cannot
+// skew one subcommand against the others. The per-subcommand
+// newXxxFlags constructors compose the builders plus their own private
+// flags. TestSharedFlagParity walks all five flag sets and asserts
+// that a flag name appearing in several subcommands carries one
+// default everywhere.
 
 import (
 	"flag"
@@ -31,7 +29,8 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 }
 
 // expFlags is the experiment-selection trio (-exp, -scale, -seed)
-// shared by run, plan, coord and work.
+// shared by run, plan and coord. Workers take none of it: every job
+// they run carries its own spec.
 type expFlags struct {
 	exp   *string
 	scale *string
@@ -219,8 +218,6 @@ func newServeFlags(stderr io.Writer) (*flag.FlagSet, *serveFlags) {
 
 // workFlags is the `pimbench work` flag set.
 type workFlags struct {
-	expFlags
-	dynamic   *bool
 	snapDir   *string
 	verbose   *bool
 	failAfter *int
@@ -230,8 +227,6 @@ type workFlags struct {
 func newWorkFlags(stderr io.Writer) (*flag.FlagSet, *workFlags) {
 	fs := newFlagSet("pimbench work", stderr)
 	f := &workFlags{
-		expFlags:  addExpFlags(fs, "serve"),
-		dynamic:   fs.Bool("dynamic", false, "serve-fleet mode: plan per job spec instead of per startup flags (-exp/-scale/-seed are ignored)"),
 		snapDir:   addSnapshotDir(fs, "workload snapshot store shared with the coordinator and sibling workers"),
 		verbose:   addVerbose(fs, "log served jobs on stderr"),
 		failAfter: addFailAfter(fs, "crash-injection test hook: exit 3 when job N+1 arrives"),

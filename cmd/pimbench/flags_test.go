@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -10,8 +11,7 @@ import (
 // every flag name appearing in several subcommands is declared by one
 // shared builder, so its default cannot drift between subcommands —
 // the failure mode that would let run's -stream and coord's -stream
-// (or the -exp/-scale/-seed trio the coordinator round-trips to its
-// workers) silently diverge.
+// (or the -exp/-scale/-seed trio) silently diverge.
 func TestSharedFlagParity(t *testing.T) {
 	sets := map[string]*flag.FlagSet{}
 	collect := func(name string, fs *flag.FlagSet) { sets[name] = fs }
@@ -66,37 +66,51 @@ func TestSharedFlagParity(t *testing.T) {
 		}
 	}
 	// The experiment-selection trio rides every planning subcommand.
-	for _, cmd := range []string{"run", "plan", "coord", "work"} {
+	for _, cmd := range []string{"run", "plan", "coord"} {
 		for _, name := range []string{"exp", "scale", "seed"} {
 			if !has(cmd, name) {
 				t.Errorf("%s is missing -%s", cmd, name)
 			}
 		}
 	}
+	// A worker plans per job spec: its flags are exactly the shared
+	// resources and hooks workArgs and the launchers emit (the set the
+	// bulkpim-side workFlagSet mirror round-trips through).
+	var work []string
+	sets["work"].VisitAll(func(f *flag.Flag) { work = append(work, f.Name) })
+	if want := []string{"cpuprofile", "fail-after", "memprofile", "snapshot-dir", "v"}; !reflect.DeepEqual(work, want) {
+		t.Errorf("work flags = %v, want %v", work, want)
+	}
 }
 
 // TestWorkFlagsParseCoordArgs: the work flag set must parse exactly
-// the argv shapes coordWorkArgs and serveWorkArgs build — the cmd-side
-// half of the bulkpim round-trip tests (TestCoordWorkArgsRoundTrip,
-// TestServeWorkArgsRoundTrip).
+// the argv shapes the coordinator's and the serve daemon's launchers
+// build — the cmd-side half of the bulkpim round-trip tests
+// (TestCoordWorkArgsRoundTrip, TestServeWorkArgsRoundTrip) — and
+// reject the retired experiment-selection flags, which travel per job
+// in the spec.
 func TestWorkFlagsParseCoordArgs(t *testing.T) {
 	snapDir := t.TempDir()
 	fs, f := newWorkFlags(io.Discard)
-	if err := fs.Parse([]string{"-exp", "fig7", "-scale", "smoke", "-seed", "3",
-		"-snapshot-dir", snapDir, "-fail-after", "2"}); err != nil {
+	if err := fs.Parse([]string{"-snapshot-dir", snapDir, "-fail-after", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	if *f.exp != "fig7" || *f.scale != "smoke" || *f.seed != 3 ||
-		*f.snapDir != snapDir || *f.failAfter != 2 {
-		t.Fatalf("round-trip skew: exp=%q scale=%q seed=%d snap=%q failAfter=%d",
-			*f.exp, *f.scale, *f.seed, *f.snapDir, *f.failAfter)
+	if fs.NArg() != 0 || *f.snapDir != snapDir || *f.failAfter != 2 {
+		t.Fatalf("round-trip skew: snap=%q failAfter=%d operands=%v", *f.snapDir, *f.failAfter, fs.Args())
 	}
 
 	fs2, f2 := newWorkFlags(io.Discard)
-	if err := fs2.Parse([]string{"-dynamic", "-snapshot-dir", snapDir}); err != nil {
+	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if !*f2.dynamic || *f2.snapDir != snapDir {
-		t.Fatalf("dynamic argv skew: dynamic=%v snap=%q", *f2.dynamic, *f2.snapDir)
+	if *f2.snapDir != "" || *f2.failAfter != 0 {
+		t.Fatalf("bare argv skew: snap=%q failAfter=%d", *f2.snapDir, *f2.failAfter)
+	}
+
+	for _, retired := range [][]string{{"-exp", "fig7"}, {"-scale", "smoke"}, {"-seed", "3"}, {"-dynamic"}} {
+		fs3, _ := newWorkFlags(io.Discard)
+		if err := fs3.Parse(retired); err == nil {
+			t.Errorf("work accepted retired flag %v", retired)
+		}
 	}
 }

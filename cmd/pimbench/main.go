@@ -10,6 +10,7 @@
 //	pimbench serve [flags]      HTTP daemon: cached results instantly, misses on a live fleet
 //	pimbench work [flags]       worker protocol endpoint (spawned by coord and serve)
 //	pimbench snapshot [flags]   inspect / garbage-collect workload snapshots
+//	pimbench litmus [flags]     Fig. 1 ordering-violation sweep under one model
 //	pimbench version [-v]       print build identity (module, Go, VCS revision)
 //
 // `run` and `work` accept -cpuprofile/-memprofile to capture pprof
@@ -51,10 +52,12 @@
 //
 // The coordinator automates the whole distributed flow on one machine
 // (and, via -worker-cmd, over ssh-style launchers): it dedups the
-// planned suite by fingerprint, dispatches individual jobs to worker
-// subprocesses with dynamic work-stealing, retries jobs from crashed
-// or erroring workers on the survivors, and streams every finished
-// result into the cache as it lands:
+// planned suite by fingerprint and submits each distinct job, with the
+// spec it was planned from, to the same worker pool and `work`
+// subprocesses the serve daemon uses. Idle workers pull the next job,
+// jobs from crashed or erroring workers retry on the survivors (at
+// most 3 attempts each), and every finished result streams into the
+// cache as it lands:
 //
 //	pimbench coord -workers 8 -exp all -scale full -cache-dir d
 //	pimbench run -exp all -scale full -cache-dir d        # warm report pass
@@ -135,10 +138,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return workCmd(args[1:], stdin, stdout, stderr)
 		case "snapshot":
 			return snapshotCmd(args[1:], stdout, stderr)
+		case "litmus":
+			return litmusCmd(args[1:], stdout, stderr)
 		case "version":
 			return versionCmd(args[1:], stdout, stderr)
 		default:
-			fmt.Fprintf(stderr, "pimbench: unknown subcommand %q (have run, plan, merge, coord, serve, work, snapshot, version)\n", args[0])
+			fmt.Fprintf(stderr, "pimbench: unknown subcommand %q (have run, plan, merge, coord, serve, work, snapshot, litmus, version)\n", args[0])
 			return 2
 		}
 	}
@@ -575,16 +580,14 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 
 // workCmd is the hidden worker endpoint `pimbench coord` and `pimbench
 // serve` spawn: it speaks the line-delimited JSON protocol on
-// stdin/stdout (stdout carries nothing else) and logs on stderr.
+// stdin/stdout (stdout carries nothing else) and logs on stderr. It
+// takes no experiment selection; each job frame carries its spec.
 func workCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs, f := newWorkFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
-		return 2
-	}
-	if !f.validScale(stderr) {
 		return 2
 	}
 	stopProfiles, err := startProfiles(*f.prof.cpu, *f.prof.mem)
@@ -598,7 +601,7 @@ func workCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}()
 	fmt.Fprintf(stderr, "pimbench: build: %s\n", buildLine())
-	opts := f.options()
+	var opts bulkpim.Options
 	if *f.verbose {
 		opts.Log = func(format string, args ...interface{}) {
 			fmt.Fprintf(stderr, format+"\n", args...)
@@ -610,13 +613,7 @@ func workCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer snapFooter()
-	var workErr error
-	if *f.dynamic {
-		workErr = bulkpim.ServeDynamicWork(opts, stdin, stdout, *f.failAfter)
-	} else {
-		workErr = bulkpim.ServeWork(*f.exp, opts, stdin, stdout, *f.failAfter)
-	}
-	if workErr != nil {
+	if workErr := bulkpim.RunWorker(opts, stdin, stdout, *f.failAfter); workErr != nil {
 		fmt.Fprintf(stderr, "pimbench: work: %v\n", workErr)
 		return 1
 	}
@@ -674,6 +671,55 @@ func snapshotCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%s\t%d\t%s\n", in.ID, in.Size, in.Label)
 	}
 	fmt.Fprintf(stderr, "pimbench: %d snapshots in %s\n", len(infos), snap.Dir())
+	return 0
+}
+
+// litmusCmd runs the paper's Fig. 1 ordering-violation scenario under
+// one model (-model) at one adversary prefetch delay (-delay) or over
+// the default sweep, printing every outcome with its happens-before
+// cycle when one exists. It exits 2 when the model violates the
+// ordering rules, 0 when it holds at every tested timing and 1 on
+// error:
+//
+//	pimbench litmus -model swflush
+//	pimbench litmus -model atomic -delay 800
+func litmusCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("pimbench litmus", stderr)
+	modelName := fs.String("model", "swflush", "model: naive, swflush, uncacheable, atomic, store, scope, scope-relaxed")
+	delay := fs.Int64("delay", -1, "adversary prefetch delay in cycles (-1 = sweep)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	model, err := bulkpim.ParseModel(*modelName)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	delays := bulkpim.LitmusDefaultSweep()
+	if *delay >= 0 {
+		delays = []bulkpim.Tick{bulkpim.Tick(*delay)}
+	}
+	outs, err := bulkpim.SweepFig1(model, delays)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	for _, o := range outs {
+		fmt.Fprintln(stdout, o)
+		if o.Cycle != nil {
+			fmt.Fprintf(stdout, "  cycle: %s\n", o.Cycle)
+		}
+	}
+	stale, cycle := bulkpim.LitmusVulnerable(outs)
+	fmt.Fprintf(stdout, "\nmodel %s: stale-read=%v happens-before-cycle=%v\n", model, stale, cycle)
+	if stale || cycle {
+		fmt.Fprintln(stdout, "VERDICT: ordering rules violated (Fig. 1 reproduced)")
+		return 2
+	}
+	fmt.Fprintln(stdout, "VERDICT: no violation at any tested adversary timing")
 	return 0
 }
 

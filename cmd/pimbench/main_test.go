@@ -385,19 +385,52 @@ func TestCoordRequiresCache(t *testing.T) {
 }
 
 // TestWorkProtocolEndpoint drives the hidden worker endpoint directly:
-// hello on stdout, then EOF on stdin is a clean exit.
+// a hello announcing per-spec planning on stdout, then EOF on stdin is
+// a clean exit. The retired startup-plan flags are usage errors.
 func TestWorkProtocolEndpoint(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"work", "-exp", "fig3", "-scale", "smoke"},
-		strings.NewReader(""), &stdout, &stderr); code != 0 {
+	if code := run([]string{"work"}, strings.NewReader(""), &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
 	var hello struct {
 		Type     string `json:"type"`
 		Distinct int    `json:"distinct"`
 	}
-	if err := json.Unmarshal(stdout.Bytes(), &hello); err != nil || hello.Type != "hello" || hello.Distinct == 0 {
+	if err := json.Unmarshal(stdout.Bytes(), &hello); err != nil || hello.Type != "hello" || hello.Distinct != -1 {
 		t.Fatalf("worker hello = %+v, %v (stdout %q)", hello, err, stdout.String())
+	}
+	for _, retired := range [][]string{{"-exp", "fig3"}, {"-scale", "smoke"}, {"-seed", "1"}, {"-dynamic"}} {
+		stdout.Reset()
+		if code := run(append([]string{"work"}, retired...), strings.NewReader(""), &stdout, io.Discard); code != 2 {
+			t.Fatalf("work %v: exit %d, want 2", retired, code)
+		}
+	}
+}
+
+// TestLitmusSubcommand: `pimbench litmus` reproduces Fig. 1 — the
+// software-flush model violates the ordering rules (exit 2), the
+// scoped model holds at every tested adversary timing (exit 0), and a
+// bad model name is an error (exit 1).
+func TestLitmusSubcommand(t *testing.T) {
+	for _, tc := range []struct {
+		model   string
+		code    int
+		verdict string
+	}{
+		{"swflush", 2, "VERDICT: ordering rules violated"},
+		{"scope", 0, "VERDICT: no violation at any tested adversary timing"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"litmus", "-model", tc.model}, nil, &stdout, &stderr); code != tc.code {
+			t.Fatalf("-model %s: exit %d, want %d; stderr:\n%s", tc.model, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), tc.verdict) {
+			t.Fatalf("-model %s: stdout lacks %q:\n%s", tc.model, tc.verdict, stdout.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"litmus", "-model", "bogus"}, nil, &stdout, &stderr); code != 1 {
+		t.Fatalf("-model bogus: exit %d, want 1", code)
 	}
 }
 

@@ -1,16 +1,22 @@
 package bulkpim
 
 // Tests for the coordinator's bulkpim-side wiring: the dedup-then-
-// dispatch property over the real suite manifest, the worker launch
-// template, and the cache precondition. The dispatch machinery itself
-// (retry, exclusion, fleet loss) is tested in internal/coord; the
-// subprocess protocol end to end in cmd/pimbench.
+// dispatch property over the real suite manifest, the batch semantics
+// runBatch layers over coord.Pool (fleet loss, launch failures, the
+// retry budget, the progress footer), the worker launch argv, and the
+// cache precondition. The pool itself (retry, exclusion, backoff) is
+// tested in internal/coord; the subprocess protocol end to end in
+// cmd/pimbench.
 
 import (
+	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,24 +25,68 @@ import (
 	"bulkpim/internal/system"
 )
 
-// manifestWorker is an in-memory coord.Worker over the real planned
-// suite: it "executes" a task by recording its fingerprint, with
-// seeded random delays to shuffle dispatch order.
-type manifestWorker struct {
-	rng   *rand.Rand
-	mu    *sync.Mutex
-	count map[string]int
+// fleetWorker is an in-memory coord.Worker: it "executes" a task by
+// recording its fingerprint, with seeded random delays to shuffle
+// dispatch order. With dieAfter >= 0, the Run after dieAfter served
+// jobs loses the worker; fingerprints in jobErrs fail as jobs.
+type fleetWorker struct {
+	rng      *rand.Rand
+	mu       *sync.Mutex
+	count    map[string]int
+	dieAfter int
+	jobErrs  map[string]bool
+	runs     int
 }
 
-func (w *manifestWorker) Run(t coord.Task) (system.Result, error) {
+func (w *fleetWorker) Run(t coord.Task) (system.Result, error) {
 	time.Sleep(time.Duration(w.rng.Intn(100)) * time.Microsecond)
+	if w.dieAfter >= 0 && w.runs >= w.dieAfter {
+		return system.Result{}, errors.New("simulated crash")
+	}
+	w.runs++
+	if w.jobErrs[t.Fingerprint] {
+		return system.Result{}, &coord.JobError{Msg: "simulated job failure"}
+	}
 	w.mu.Lock()
 	w.count[t.Fingerprint]++
 	w.mu.Unlock()
 	return system.Result{}, nil
 }
 
-func (w *manifestWorker) Close() error { return nil }
+func (w *fleetWorker) Close() error { return nil }
+
+// fakeFleet launches fleetWorkers sharing one execution tally; tweak,
+// when non-nil, customizes worker id before it joins.
+type fakeFleet struct {
+	mu    sync.Mutex
+	count map[string]int
+	tweak func(id int, w *fleetWorker) error
+}
+
+func newFakeFleet(tweak func(id int, w *fleetWorker) error) *fakeFleet {
+	return &fakeFleet{count: map[string]int{}, tweak: tweak}
+}
+
+func (f *fakeFleet) launch(id int) (coord.Worker, error) {
+	w := &fleetWorker{rng: rand.New(rand.NewSource(int64(id) + 1)), mu: &f.mu,
+		count: f.count, dieAfter: -1}
+	if f.tweak != nil {
+		if err := f.tweak(id, w); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
+}
+
+func mkCoordTasks(n int) []coord.Task {
+	tasks := make([]coord.Task, n)
+	for i := range tasks {
+		tasks[i] = coord.Task{Key: fmt.Sprintf("key-%d", i), Fingerprint: fmt.Sprintf("fp-%d", i)}
+	}
+	return tasks
+}
+
+func discardLog(string, ...any) {}
 
 // TestCoordinateDeliversEachFingerprintOnce: over the paper's
 // full-scale manifest, the coordinator's dedup-then-dispatch must
@@ -58,27 +108,145 @@ func TestCoordinateDeliversEachFingerprintOnce(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3, 8} {
-		var mu sync.Mutex
-		count := map[string]int{}
-		sum, err := coord.Run(tasks, coord.Options{
-			Workers: workers,
-			Launch: func(id int) (coord.Worker, error) {
-				return &manifestWorker{rng: rand.New(rand.NewSource(int64(workers*100 + id))),
-					mu: &mu, count: count}, nil
-			},
+		f := newFakeFleet(func(id int, w *fleetWorker) error {
+			w.rng = rand.New(rand.NewSource(int64(workers*100 + id)))
+			return nil
 		})
+		last := 0
+		sum, err := runBatch(tasks, workers, f.launch, func(done, total int, o coord.Outcome) {
+			if total != len(tasks) || done != last+1 {
+				t.Errorf("workers=%d: done=%d total=%d after %d", workers, done, total, last)
+			}
+			last = done
+		}, nil, discardLog)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if sum.Done != len(groups) || sum.Failed != 0 || sum.Retried != 0 {
+		if sum.Done != len(groups) || sum.Failed != 0 || sum.Retried != 0 || sum.WorkersLost != 0 {
 			t.Fatalf("workers=%d: summary %+v", workers, sum)
 		}
 		for _, g := range groups {
-			if got := count[g.fp]; got != 1 {
+			if got := f.count[g.fp]; got != 1 {
 				t.Fatalf("workers=%d: fingerprint %s (key %s) executed %d times, want exactly 1",
 					workers, g.fp, g.keys[0], got)
 			}
 		}
+	}
+}
+
+// TestCoordinateAllWorkersLost: when the whole fleet dies, the tasks
+// still queued settle as failed and the batch returns instead of
+// waiting for a worker that never joins.
+func TestCoordinateAllWorkersLost(t *testing.T) {
+	f := newFakeFleet(func(id int, w *fleetWorker) error {
+		w.dieAfter = 2
+		return nil
+	})
+	done := make(chan struct{})
+	var sum CoordSummary
+	var err error
+	go func() {
+		defer close(done)
+		sum, err = runBatch(mkCoordTasks(30), 2, f.launch, nil, nil, discardLog)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("batch hung after losing its whole fleet")
+	}
+	if err == nil {
+		t.Fatal("a fleet-wide loss must be an error")
+	}
+	if sum.WorkersLost != 2 {
+		t.Fatalf("workers lost = %d, want 2", sum.WorkersLost)
+	}
+	if sum.Done != 4 || sum.Done+sum.Failed != 30 {
+		t.Fatalf("every task must settle: %+v", sum)
+	}
+}
+
+// TestCoordinateLaunchFailure: a worker that cannot launch is a lost
+// worker, not a fatal error — the rest of the fleet absorbs its share,
+// and the failed launch is still reported.
+func TestCoordinateLaunchFailure(t *testing.T) {
+	f := newFakeFleet(func(id int, w *fleetWorker) error {
+		if id == 2 {
+			return errors.New("ssh: connection refused")
+		}
+		return nil
+	})
+	sum, err := runBatch(mkCoordTasks(25), 3, f.launch, nil, nil, discardLog)
+	if err == nil || !strings.Contains(err.Error(), "connection refused") {
+		t.Fatalf("launch failure must be reported: %v", err)
+	}
+	if sum.Done != 25 || sum.Failed != 0 || sum.WorkersLost != 1 {
+		t.Fatalf("summary %+v", sum)
+	}
+
+	// A fleet that launches nobody fails every task instead of hanging.
+	none := func(int) (coord.Worker, error) { return nil, errors.New("no route to host") }
+	sum, err = runBatch(mkCoordTasks(5), 2, none, nil, nil, discardLog)
+	if err == nil || sum.Failed != 5 || sum.WorkersLost != 2 {
+		t.Fatalf("fleet-less batch: %+v, %v", sum, err)
+	}
+}
+
+// TestCoordinatePermanentFailure: a job that fails on every attempt
+// settles as failed once the pool's attempt budget is spent, named in
+// the returned error, without taking the rest of the batch down.
+func TestCoordinatePermanentFailure(t *testing.T) {
+	f := newFakeFleet(func(id int, w *fleetWorker) error {
+		w.jobErrs = map[string]bool{"fp-4": true}
+		return nil
+	})
+	var failed []coord.Outcome
+	sum, err := runBatch(mkCoordTasks(10), 4, f.launch, func(done, total int, o coord.Outcome) {
+		if o.Err != nil {
+			failed = append(failed, o)
+		}
+	}, nil, discardLog)
+	if err == nil || !strings.Contains(err.Error(), "key-4") {
+		t.Fatalf("error must name the failed task: %v", err)
+	}
+	if sum.Done != 9 || sum.Failed != 1 || sum.WorkersLost != 0 {
+		t.Fatalf("summary %+v", sum)
+	}
+	if len(failed) != 1 || failed[0].Task.Key != "key-4" || failed[0].Attempts != 3 {
+		t.Fatalf("failed outcomes %+v, want key-4 after 3 attempts", failed)
+	}
+	if f.count["fp-4"] != 0 {
+		t.Fatal("permanently failing job recorded an execution")
+	}
+}
+
+// TestCoordinateProgressFooter: the live footer carries jobs-done/ETA
+// and terminates with the final accounting on its own line.
+func TestCoordinateProgressFooter(t *testing.T) {
+	var progress bytes.Buffer
+	if _, err := runBatch(mkCoordTasks(12), 2, newFakeFleet(nil).launch, nil, &progress, discardLog); err != nil {
+		t.Fatal(err)
+	}
+	out := progress.String()
+	if !strings.Contains(out, "coord: ") || !strings.Contains(out, "ETA") {
+		t.Fatalf("footer missing: %q", out)
+	}
+	if !strings.Contains(out, "12/12 jobs done (0 failed, 0 retried, 0 workers lost)") {
+		t.Fatalf("final accounting missing: %q", out)
+	}
+	if !strings.HasSuffix(out, "\n") {
+		t.Fatalf("footer not terminated with a newline: %q", out)
+	}
+}
+
+// TestCoordinateEmptyPlan: an empty task list returns at once without
+// launching anything.
+func TestCoordinateEmptyPlan(t *testing.T) {
+	sum, err := runBatch(nil, 4, func(int) (coord.Worker, error) {
+		t.Fatal("launched a worker for zero tasks")
+		return nil, nil
+	}, nil, nil, discardLog)
+	if err != nil || sum != (CoordSummary{}) {
+		t.Fatalf("%+v, %v", sum, err)
 	}
 }
 
@@ -121,7 +289,7 @@ func TestDedupPlanGroupsCoverManifest(t *testing.T) {
 
 // TestWorkerArgv covers the launch template grammar.
 func TestWorkerArgv(t *testing.T) {
-	workArgs := []string{"work", "-exp", "all", "-scale", "smoke"}
+	workArgs := []string{"work", "-snapshot-dir", "/srv/snap"}
 
 	self, err := workerArgv("", workArgs)
 	if err != nil || len(self) != len(workArgs)+1 || self[0] == "" || self[1] != "work" {
@@ -146,104 +314,121 @@ func TestWorkerArgv(t *testing.T) {
 }
 
 // workFlagSet mirrors the `pimbench work` subcommand's flag set. Keep
-// it in sync with workCmd in cmd/pimbench — TestCoordWorkArgsRoundTrip
-// parses coordWorkArgs through it, so an option the coordinator emits
-// that workers cannot parse fails here instead of at fleet launch.
-func workFlagSet() (*flag.FlagSet, map[string]*string) {
+// it in sync with newWorkFlags in cmd/pimbench (TestSharedFlagParity
+// pins that set's names) — the *WorkArgsRoundTrip tests parse fleet
+// argvs through it, so an option a launcher emits that workers cannot parse
+// fails here instead of at fleet launch.
+func workFlagSet() (*flag.FlagSet, *string) {
 	fs := flag.NewFlagSet("work", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	got := map[string]*string{
-		"exp":          fs.String("exp", "all", ""),
-		"scale":        fs.String("scale", "quick", ""),
-		"seed":         fs.String("seed", "0", ""),
-		"snapshot-dir": fs.String("snapshot-dir", "", ""),
-	}
+	snapDir := fs.String("snapshot-dir", "", "")
 	fs.Bool("v", false, "")
-	fs.Bool("dynamic", false, "")
 	fs.Int("fail-after", 0, "")
-	return fs, got
+	fs.String("cpuprofile", "", "")
+	fs.String("memprofile", "", "")
+	return fs, snapDir
 }
 
-// TestCoordWorkArgsRoundTrip: the full worker argv must round-trip
-// through the work subcommand's flag set — every option propagated,
-// nothing dropped, nothing the workers cannot parse. This is the guard
-// the -snapshot-dir propagation fix added: a silently dropped flag
-// would let workers plan with skewed options (or regenerate every
-// database the store already holds).
+// parseWorkArgv parses a fleet worker's launch argv — its operands
+// from the work subcommand on — through the work flag set and returns
+// the -snapshot-dir and -fail-after values. Experiment selection never
+// rides the argv; it travels per job in the spec.
+func parseWorkArgv(t *testing.T, argv []string) (snapDir, failAfter string) {
+	t.Helper()
+	i := 0
+	for i < len(argv) && argv[i] != "work" {
+		i++
+	}
+	if i == len(argv) {
+		t.Fatalf("argv carries no work subcommand: %v", argv)
+	}
+	fs, snap := workFlagSet()
+	if err := fs.Parse(argv[i+1:]); err != nil {
+		t.Fatalf("work flag set rejects worker argv %v: %v", argv, err)
+	}
+	if fs.NArg() != 0 {
+		t.Fatalf("argv %v leaves unparsed operands %v — a flag was dropped or misspelled", argv, fs.Args())
+	}
+	for _, a := range argv[i+1:] {
+		if a == "-exp" || a == "-scale" || a == "-seed" || a == "-dynamic" {
+			t.Errorf("argv %v carries %s: workers take their experiment from each job's spec", argv, a)
+		}
+	}
+	return *snap, fs.Lookup("fail-after").Value.String()
+}
+
+// TestCoordWorkArgsRoundTrip: every argv a coordinator's fleet is
+// launched with must round-trip through the work subcommand's flag
+// set: every option propagated, nothing dropped, nothing the workers
+// cannot parse. A silently dropped -snapshot-dir would let workers
+// regenerate every database the store already holds; the crash-
+// injected worker alone carries -fail-after.
 func TestCoordWorkArgsRoundTrip(t *testing.T) {
 	snap, err := OpenSnapshotStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{Scale: ScaleMedium, Seed: 7, Snapshots: snap}
-	args := coordWorkArgs("fig7", opts)
-	if len(args) == 0 || args[0] != "work" {
-		t.Fatalf("argv must start with the work subcommand: %v", args)
-	}
-	fs, got := workFlagSet()
-	if err := fs.Parse(args[1:]); err != nil {
-		t.Fatalf("work flag set rejects coordinator argv %v: %v", args, err)
-	}
-	if fs.NArg() != 0 {
-		t.Fatalf("argv %v leaves unparsed operands %v — a flag was dropped or misspelled", args, fs.Args())
-	}
-	want := map[string]string{
-		"exp": "fig7", "scale": "medium", "seed": "7", "snapshot-dir": snap.Dir(),
-	}
-	for name, w := range want {
-		if *got[name] != w {
-			t.Errorf("-%s = %q, want %q", name, *got[name], w)
+	copts := CoordOptions{Workers: 3, FailWorker: 1, FailAfter: 2}
+	for id := 0; id < copts.Workers; id++ {
+		argv, err := fleetArgv(opts, copts.WorkerCmd, id, copts.FailWorker, copts.FailAfter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(argv) < 2 || argv[1] != "work" {
+			t.Fatalf("worker %d: argv must run the work subcommand of this executable: %v", id, argv)
+		}
+		snapDir, failAfter := parseWorkArgv(t, argv)
+		if snapDir != snap.Dir() {
+			t.Errorf("worker %d: -snapshot-dir = %q, want %q", id, snapDir, snap.Dir())
+		}
+		want := "0"
+		if id == copts.FailWorker {
+			want = "2"
+		}
+		if failAfter != want {
+			t.Errorf("worker %d: -fail-after = %s, want %s", id, failAfter, want)
 		}
 	}
 
 	// Without a snapshot store the flag is omitted entirely, keeping
 	// workers on their no-store default.
-	args = coordWorkArgs("all", Options{Scale: ScaleSmoke})
-	for _, a := range args {
-		if a == "-snapshot-dir" {
-			t.Fatalf("store-less coordinator emitted -snapshot-dir: %v", args)
-		}
+	argv, err := fleetArgv(Options{Scale: ScaleSmoke}, "", 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fs, got = workFlagSet()
-	if err := fs.Parse(args[1:]); err != nil || fs.NArg() != 0 {
-		t.Fatalf("argv %v does not round-trip: %v, %v", args, err, fs.Args())
-	}
-	if *got["exp"] != "all" || *got["scale"] != "smoke" || *got["seed"] != "0" {
-		t.Fatalf("defaults did not round-trip: %v", args)
+	if snapDir, failAfter := parseWorkArgv(t, argv); snapDir != "" || failAfter != "0" {
+		t.Fatalf("store-less, uninjected argv %v: -snapshot-dir %q, -fail-after %s", argv, snapDir, failAfter)
 	}
 }
 
-// TestServeWorkArgsRoundTrip: a serve daemon's dynamic-worker argv must
-// also round-trip through the work flag set — the same skew guard as
-// the coordinator's, for the fleet that plans per job spec.
+// TestServeWorkArgsRoundTrip: a serve daemon's worker argv, expanded
+// through a -worker-cmd template, must also round-trip through the
+// work flag set — the same skew guard as the coordinator's.
 func TestServeWorkArgsRoundTrip(t *testing.T) {
 	snap, err := OpenSnapshotStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := serveWorkArgs(Options{Snapshots: snap})
-	if len(args) == 0 || args[0] != "work" {
-		t.Fatalf("argv must start with the work subcommand: %v", args)
+	sopts := ServerOptions{WorkerCmd: "nice -n 10 /opt/pimbench {args}"}
+	argv, err := fleetArgv(Options{Snapshots: snap}, sopts.WorkerCmd, 0, sopts.FailWorker, sopts.FailAfter)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fs, got := workFlagSet()
-	if err := fs.Parse(args[1:]); err != nil {
-		t.Fatalf("work flag set rejects serve argv %v: %v", args, err)
+	if want := []string{"nice", "-n", "10", "/opt/pimbench", "work"}; !reflect.DeepEqual(argv[:len(want)], want) {
+		t.Fatalf("template not expanded in place: %v", argv)
 	}
-	if fs.NArg() != 0 {
-		t.Fatalf("argv %v leaves unparsed operands %v — a flag was dropped or misspelled", args, fs.Args())
-	}
-	if fs.Lookup("dynamic").Value.String() != "true" {
-		t.Fatalf("serve argv %v did not set -dynamic: static workers cannot join a serve fleet", args)
-	}
-	if *got["snapshot-dir"] != snap.Dir() {
-		t.Errorf("-snapshot-dir = %q, want %q", *got["snapshot-dir"], snap.Dir())
+	if snapDir, _ := parseWorkArgv(t, argv); snapDir != snap.Dir() {
+		t.Errorf("-snapshot-dir = %q, want %q", snapDir, snap.Dir())
 	}
 
 	// Store-less daemons omit the flag, like store-less coordinators.
-	for _, a := range serveWorkArgs(Options{}) {
-		if a == "-snapshot-dir" {
-			t.Fatalf("store-less serve argv emitted -snapshot-dir: %v", serveWorkArgs(Options{}))
-		}
+	argv, err = fleetArgv(Options{}, sopts.WorkerCmd, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapDir, _ := parseWorkArgv(t, argv); snapDir != "" {
+		t.Fatalf("store-less serve argv %v emitted -snapshot-dir %q", argv, snapDir)
 	}
 }
 

@@ -6,17 +6,62 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"bulkpim/internal/system"
 )
 
-// Pool is the persistent, elastic counterpart of Run: where Run
-// dispatches one fixed task list to a fleet and returns, a Pool
-// outlives any batch — tasks are submitted one at a time as they
-// arrive (a serving daemon's cache misses), workers join and leave the
-// live pool, and every settled task is delivered through its own
-// callback. The fault model is Run's: a job-level error (*JobError)
-// retries the task on other workers with the reporting worker
-// excluded; any other error loses the worker, requeues its task and
-// removes it from the fleet.
+// Task is one distinct unit of work: a fingerprint group of a planned
+// suite, represented by its canonical key. Fingerprints content-address
+// the simulations, so the submitter keeps them unique. Spec is the
+// request a subprocess worker re-derives the fingerprint's plan from;
+// in-memory workers may ignore it.
+type Task struct {
+	Key         string
+	Fingerprint string
+	Spec        *JobSpec
+}
+
+// JobError is a job-level failure reported by a healthy worker: the
+// job's simulation returned an error, the worker itself keeps serving.
+// The pool retries the job on other workers with the reporting worker
+// excluded. Any other error from Worker.Run means the worker is lost
+// (crashed, pipe broken) and is removed from the fleet.
+type JobError struct{ Msg string }
+
+func (e *JobError) Error() string { return e.Msg }
+
+// Worker executes one task at a time. Implementations: ProcWorker
+// (a pimbench work subprocess) and in-process workers.
+type Worker interface {
+	// Run executes the task, blocking until its outcome. A *JobError
+	// return means the job failed on a healthy worker; any other error
+	// means the worker is lost.
+	Run(t Task) (system.Result, error)
+	Close() error
+}
+
+// Outcome is one settled task, delivered to its Submit callback as it
+// lands (so a mid-run kill loses at most in-flight jobs).
+type Outcome struct {
+	Task  Task
+	Value system.Result
+	// Err is non-nil when the task failed permanently: its retry budget
+	// ran out, every live worker failed it, or the pool closed first.
+	Err error
+	// Worker is the worker that settled the task (-1 when no worker
+	// could).
+	Worker int
+	// Attempts counts dispatches, including the settling one.
+	Attempts int
+}
+
+// Pool is the one scheduler behind every worker fleet: the serve
+// daemon's persistent one and the coordinator's per-run batch. Tasks
+// are submitted one at a time, workers join and leave the live pool,
+// and every settled task is delivered through its own callback. A
+// job-level error (*JobError) retries the task on other workers with
+// the reporting worker excluded; any other error loses the worker,
+// requeues its task and removes it from the fleet.
 //
 // Two mechanisms bound failure handling. Each task carries a dispatch
 // budget (MaxAttempts): when crashed or erroring workers have consumed
@@ -284,13 +329,14 @@ func (p *Pool) take(pw *poolWorker) *poolTask {
 
 // requeueLocked puts t back for the rest of the fleet after worker
 // `worker` failed it — or settles it as permanently failed when its
-// retry budget is gone or every current worker (of a non-empty fleet)
-// is excluded. Callers hold mu; the returned task, when non-nil, must
-// have its done invoked after releasing it.
+// retry budget is gone, every current worker (of a non-empty fleet) is
+// excluded, or the pool is closed (a closed queue is never drained, so
+// a requeued task would never settle). Callers hold mu; the returned
+// task, when non-nil, must have its done invoked after releasing it.
 func (p *Pool) requeueLocked(t *poolTask, worker int, err error) (failed *poolTask) {
 	t.excluded[worker] = true
 	t.lastErr = err
-	if t.attempts >= p.o.maxAttempts() {
+	if p.closed || t.attempts >= p.o.maxAttempts() {
 		return t
 	}
 	if len(p.workers) > 0 {

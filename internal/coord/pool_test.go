@@ -8,7 +8,68 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bulkpim/internal/system"
 )
+
+// tally counts executions per fingerprint across a fleet of fake
+// workers.
+type tally struct {
+	mu    sync.Mutex
+	count map[string]int
+}
+
+func newTally() *tally { return &tally{count: map[string]int{}} }
+
+func (c *tally) add(fp string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.count[fp]++
+}
+
+// fakeWorker runs tasks in memory with seeded random delays. dieAfter
+// >= 0 makes Run return a worker-lost error (without executing) on the
+// (dieAfter+1)th call; jobErrs lists fingerprints it reports as failed
+// jobs.
+type fakeWorker struct {
+	id       int
+	rng      *rand.Rand
+	rngMu    sync.Mutex
+	tally    *tally
+	dieAfter int
+	runs     int
+	jobErrs  map[string]bool
+	closed   bool
+}
+
+func (w *fakeWorker) Run(t Task) (system.Result, error) {
+	w.rngMu.Lock()
+	d := time.Duration(w.rng.Intn(200)) * time.Microsecond
+	w.rngMu.Unlock()
+	time.Sleep(d)
+	if w.dieAfter >= 0 && w.runs >= w.dieAfter {
+		return system.Result{}, fmt.Errorf("worker %d: simulated crash", w.id)
+	}
+	w.runs++
+	if w.jobErrs[t.Fingerprint] {
+		return system.Result{}, &JobError{Msg: "simulated job failure"}
+	}
+	w.tally.add(t.Fingerprint)
+	return system.Result{Cycles: 1}, nil
+}
+
+func (w *fakeWorker) Close() error {
+	w.closed = true
+	return nil
+}
+
+func mkTasks(n int) []Task {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		tasks[i] = Task{Key: fmt.Sprintf("key-%d", i), Fingerprint: fmt.Sprintf("fp-%d", i)}
+	}
+	return tasks
+}
 
 // submitAll pushes every task into the pool and returns a channel that
 // yields the settled outcomes.
@@ -83,6 +144,91 @@ func TestPoolExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestRunExactlyOnce: a run of tasks over healthy fleets of every
+// size, at several delay seeds, delivers exactly one successful
+// outcome per task and executes each fingerprint exactly once — no
+// retries, no losses.
+func TestRunExactlyOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 7, 16} {
+		for seed := int64(1); seed <= 3; seed++ {
+			tl := newTally()
+			p := NewPool(PoolOptions{Launch: func(id int) (Worker, error) {
+				return &fakeWorker{id: id, rng: rand.New(rand.NewSource(seed + int64(id))),
+					tally: tl, dieAfter: -1}, nil
+			}})
+			for i := 0; i < workers; i++ {
+				if _, err := p.AddWorker(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tasks := mkTasks(100)
+			delivered := map[string]int{}
+			for _, o := range drain(t, submitAll(t, p, tasks), 100) {
+				delivered[o.Task.Key]++
+				if o.Err != nil {
+					t.Errorf("w=%d seed=%d: %s failed: %v", workers, seed, o.Task.Key, o.Err)
+				}
+			}
+			p.Close()
+			for _, task := range tasks {
+				if got := delivered[task.Key]; got != 1 {
+					t.Fatalf("w=%d seed=%d: %s delivered %d times, want exactly 1", workers, seed, task.Key, got)
+				}
+				if got := tl.count[task.Fingerprint]; got != 1 {
+					t.Fatalf("w=%d seed=%d: fingerprint %s executed %d times, want exactly 1",
+						workers, seed, task.Fingerprint, got)
+				}
+			}
+			if s := p.Stats(); s.Retried != 0 || s.Lost != 0 || s.Queued != 0 {
+				t.Fatalf("w=%d seed=%d: stats %+v", workers, seed, s)
+			}
+		}
+	}
+}
+
+// TestRunRetriesCrashedWorkersJobs: a worker that dies mid-run, with
+// no replacement joining, loses its in-flight job to a surviving
+// worker; the run still completes with every fingerprint executed
+// exactly once by the survivors, and the fleet shrinks by one.
+func TestRunRetriesCrashedWorkersJobs(t *testing.T) {
+	tl := newTally()
+	p := NewPool(PoolOptions{Launch: func(id int) (Worker, error) {
+		die := -1
+		if id == 1 {
+			die = 5 // crash when the 6th job arrives, losing it in flight
+		}
+		return &fakeWorker{id: id, rng: rand.New(rand.NewSource(int64(id) + 42)),
+			tally: tl, dieAfter: die}, nil
+	}})
+	for i := 0; i < 3; i++ {
+		if _, err := p.AddWorker(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tasks := mkTasks(60)
+	for _, o := range drain(t, submitAll(t, p, tasks), 60) {
+		if o.Err != nil {
+			t.Fatalf("run must survive one worker death: %s failed: %v", o.Task.Key, o.Err)
+		}
+	}
+	s := p.Stats()
+	p.Close()
+	if s.Lost != 1 {
+		t.Fatalf("workers lost = %d, want 1", s.Lost)
+	}
+	if s.Retried < 1 {
+		t.Fatalf("the crashed worker's in-flight job was not retried: %+v", s)
+	}
+	if len(s.Workers) != 2 || s.Workers[0].ID != 0 || s.Workers[1].ID != 2 {
+		t.Fatalf("fleet after the crash: %+v, want the survivors 0 and 2", s.Workers)
+	}
+	for _, task := range tasks {
+		if got := tl.count[task.Fingerprint]; got != 1 {
+			t.Fatalf("fingerprint %s executed %d times, want exactly 1", task.Fingerprint, got)
+		}
+	}
+}
+
 // TestPoolWorkerLostRetriesAndReplaces: a worker dying mid-task loses
 // only that dispatch — the task retries on a survivor — and
 // OnWorkerLost lets the owner join a replacement into the live pool.
@@ -138,6 +284,41 @@ func TestPoolWorkerLostRetriesAndReplaces(t *testing.T) {
 	// Replacement ids never reuse a dead worker's: 0 and the fresh 2.
 	if len(s.Workers) != 2 || s.Workers[0].ID != 0 || s.Workers[1].ID != 2 {
 		t.Fatalf("fleet after replacement: %+v", s.Workers)
+	}
+	p.Close()
+}
+
+// TestPoolRetriesJobErrorElsewhere: a job-level failure on one worker
+// is retried on another (the failing worker excluded), and the fleet
+// finishes without losing the worker.
+func TestPoolRetriesJobErrorElsewhere(t *testing.T) {
+	tl := newTally()
+	p := NewPool(PoolOptions{
+		BaseBackoff: time.Millisecond,
+		Launch: func(id int) (Worker, error) {
+			w := &fakeWorker{id: id, rng: rand.New(rand.NewSource(int64(id) + 7)),
+				tally: tl, dieAfter: -1}
+			if id == 0 {
+				w.jobErrs = map[string]bool{"fp-13": true}
+			}
+			return w, nil
+		},
+	})
+	for i := 0; i < 2; i++ {
+		if _, err := p.AddWorker(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range drain(t, submitAll(t, p, mkTasks(20)), 20) {
+		if o.Err != nil {
+			t.Fatalf("%s failed: %v", o.Task.Key, o.Err)
+		}
+	}
+	if got := tl.count["fp-13"]; got != 1 {
+		t.Fatalf("fp-13 executed %d times, want 1 (on the non-failing worker)", got)
+	}
+	if s := p.Stats(); s.Lost != 0 || len(s.Workers) != 2 {
+		t.Fatalf("stats %+v", s)
 	}
 	p.Close()
 }
@@ -296,6 +477,61 @@ func TestPoolCloseFailsQueued(t *testing.T) {
 	}
 	if _, err := p.AddWorker(); err == nil {
 		t.Fatal("AddWorker after Close must error")
+	}
+}
+
+// gatedWorker blocks each Run until release yields the error to
+// return, announcing the dispatch on started.
+type gatedWorker struct {
+	started chan struct{}
+	release chan error
+}
+
+func (w *gatedWorker) Run(Task) (system.Result, error) {
+	w.started <- struct{}{}
+	return system.Result{}, <-w.release
+}
+
+func (w *gatedWorker) Close() error { return nil }
+
+// TestPoolCloseSettlesInFlightFailure: a task whose worker dies after
+// Close has started must still settle (as failed) before Close
+// returns — a requeue onto the closed queue would never be delivered.
+func TestPoolCloseSettlesInFlightFailure(t *testing.T) {
+	w := &gatedWorker{started: make(chan struct{}), release: make(chan error)}
+	p := NewPool(PoolOptions{Launch: func(int) (Worker, error) { return w, nil }})
+	if _, err := p.AddWorker(); err != nil {
+		t.Fatal(err)
+	}
+	out := submitAll(t, p, mkTasks(1))
+	<-w.started
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	for {
+		p.mu.Lock()
+		c := p.closed
+		p.mu.Unlock()
+		if c {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	w.release <- errors.New("broken pipe")
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	select {
+	case o := <-out:
+		if o.Err == nil || !strings.Contains(o.Err.Error(), "broken pipe") {
+			t.Fatalf("outcome %+v", o)
+		}
+	default:
+		t.Fatal("in-flight task never settled: Close returned with its outcome lost")
 	}
 }
 

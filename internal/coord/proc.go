@@ -25,11 +25,12 @@ type ProcWorker struct {
 
 // StartProc launches argv, wires the protocol pipes, and blocks until
 // the worker's hello (a worker that dies at startup surfaces as a
-// decode error here, not a hang). stderr receives the worker's log;
-// nil discards it.
-func StartProc(id int, argv []string, stderr io.Writer) (*ProcWorker, Hello, error) {
+// decode error here, not a hang). A hello that does not announce
+// DynamicDistinct is version skew and fails the launch. stderr
+// receives the worker's log; nil discards it.
+func StartProc(id int, argv []string, stderr io.Writer) (*ProcWorker, error) {
 	if len(argv) == 0 {
-		return nil, Hello{}, errors.New("empty worker argv")
+		return nil, errors.New("empty worker argv")
 	}
 	cmd := exec.Command(argv[0], argv[1:]...)
 	if stderr == nil {
@@ -38,14 +39,14 @@ func StartProc(id int, argv []string, stderr io.Writer) (*ProcWorker, Hello, err
 	cmd.Stderr = stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return nil, Hello{}, fmt.Errorf("worker %d: %w", id, err)
+		return nil, fmt.Errorf("worker %d: %w", id, err)
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, Hello{}, fmt.Errorf("worker %d: %w", id, err)
+		return nil, fmt.Errorf("worker %d: %w", id, err)
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, Hello{}, fmt.Errorf("worker %d: %w", id, err)
+		return nil, fmt.Errorf("worker %d: %w", id, err)
 	}
 	w := &ProcWorker{id: id, cmd: cmd, stdin: stdin,
 		enc: json.NewEncoder(stdin), dec: json.NewDecoder(stdout)}
@@ -53,9 +54,14 @@ func StartProc(id int, argv []string, stderr io.Writer) (*ProcWorker, Hello, err
 	if err := w.dec.Decode(&h); err != nil || h.Type != "hello" {
 		w.broken = true
 		w.Close()
-		return nil, Hello{}, fmt.Errorf("worker %d: no hello (%v)", id, err)
+		return nil, fmt.Errorf("worker %d: no hello (%v)", id, err)
 	}
-	return w, Hello{Distinct: h.Distinct}, nil
+	if h.Distinct != DynamicDistinct {
+		w.Close()
+		return nil, fmt.Errorf("worker %d: hello announces a startup plan of %d jobs; this coordinator sends a spec per job (version skew?)",
+			id, h.Distinct)
+	}
+	return w, nil
 }
 
 // Run sends one job and blocks for its result. A result frame carrying

@@ -1,33 +1,33 @@
-// Package coord is the fault-tolerant local coordinator of a
-// distributed pimbench run: it dispatches a planned suite's distinct
-// jobs — dynamic work-stealing, one job at a time per worker — to a
-// fleet of worker subprocesses speaking a line-delimited JSON protocol
-// over stdin/stdout, retries jobs from crashed or erroring workers on
-// surviving ones (the failed worker excluded per job), streams every
-// finished result to the caller as it lands, and renders a live
-// jobs-done/ETA footer.
+// Package coord is the fault-tolerant scheduler behind every pimbench
+// worker fleet — the `pimbench coord` batch run and the `pimbench
+// serve` daemon alike. Pool dispatches distinct jobs, one at a time
+// per worker, to a fleet that may grow and shrink while it runs,
+// retries jobs from crashed or erroring workers on the survivors (the
+// failed worker excluded per job, a bounded attempt budget per job,
+// an adaptive backoff per worker) and delivers every settled job to
+// its own callback as it lands. Workers are `pimbench work`
+// subprocesses speaking a line-delimited JSON protocol over
+// stdin/stdout (ProcWorker, Serve) or in-process Worker values.
 //
 // The wire protocol (one JSON value per line, worker side implemented
 // by Serve):
 //
-//	worker -> coordinator  {"type":"hello","distinct":N}
-//	coordinator -> worker  {"type":"job","key":K,"fp":F}
+//	worker -> coordinator  {"type":"hello","distinct":-1}
+//	coordinator -> worker  {"type":"job","key":K,"fp":F,"spec":{"exp":E,"scale":S,"seed":N,"overrides":O}}
 //	worker -> coordinator  {"type":"result","key":K,"fp":F,"result":{...},"error":""}
 //	coordinator -> worker  {"type":"bye"}        (or stdin EOF)
 //
-// Both sides plan the same suite independently (planning is
-// deterministic), so a job travels as its identity — key plus
-// fingerprint — and the worker resolves the fingerprint to the job
-// closure it planned locally; results travel back as the same
-// system.Result JSON the result cache persists. The hello handshake
-// carries the worker's distinct-job count so a version- or flag-skewed
-// worker fails fast instead of computing wrong points.
-//
-// Dynamic mode (the `pimbench serve` fleet) extends the job frame with
-// a spec — {"type":"job","key":K,"fp":F,"spec":{"exp":E,...}} — so a
-// worker launched with no suite flags can plan on demand: it announces
-// distinct = DynamicDistinct in its hello and derives each job's plan
-// from the spec it rides in with.
+// A worker plans nothing at startup. Each job carries its spec, the
+// request the job was planned from, and the worker derives that plan
+// itself (planning is deterministic, so both sides compute identical
+// fingerprints) and memoizes it across jobs; it then runs the job
+// planned under the frame's fingerprint. A fingerprint the worker's
+// plan does not contain — version or flag skew between the two sides —
+// comes back as a job-level "unknown fingerprint" error instead of a
+// wrong point. Results travel back as the same system.Result JSON the
+// result cache persists. The hello's distinct field is always
+// DynamicDistinct; StartProc rejects a worker announcing anything
+// else (a binary that still speaks the retired startup-plan protocol).
 package coord
 
 import (
@@ -37,14 +37,14 @@ import (
 	"bulkpim/internal/system"
 )
 
-// DynamicDistinct is the hello distinct-count a dynamic-mode worker
-// announces: it plans per job spec, so it has no startup plan to skew.
+// DynamicDistinct is the hello distinct-count every worker announces:
+// it plans per job spec, so it has no startup plan to skew.
 const DynamicDistinct = -1
 
-// JobSpec is a dynamic job's full identity: the request parameters a
-// serve-fleet worker needs to re-derive the plan a fingerprint belongs
-// to. Overrides carries the request's raw config-override JSON (empty
-// for none) so the worker reproduces the exact mutated Config.
+// JobSpec is a job's full identity: the request parameters a worker
+// needs to re-derive the plan a fingerprint belongs to. Overrides
+// carries the request's raw config-override JSON (empty for none) so
+// the worker reproduces the exact mutated Config.
 type JobSpec struct {
 	Exp       string `json:"exp"`
 	Scale     string `json:"scale"`
@@ -105,7 +105,3 @@ type response struct {
 	Result      system.Result `json:"result"`
 	Error       string        `json:"error,omitempty"`
 }
-
-// Hello is the decoded startup handshake StartProc returns: how many
-// distinct jobs the worker planned.
-type Hello struct{ Distinct int }

@@ -21,6 +21,8 @@ func FuzzProtoRequest(f *testing.F) {
 	f.Add([]byte("\x00\xff{"))
 	f.Add([]byte(`{"type":"job","spec":{"exp":1e999}}`))
 	f.Add([]byte(`[]{"type":"bye"}`))
+	// A spec-less job frame decodes; Serve fails it as a job.
+	f.Add([]byte(`{"type":"job","key":"k","fp":"f","spec":null}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := json.NewDecoder(bytes.NewReader(data))
 		// Drain the stream like Serve does: frames until EOF or the

@@ -6,8 +6,8 @@ package bulkpim
 // request (experiment × scale × seed × config overrides) to its
 // deduplicated plan, strict config-override validation, the shared
 // result cache, and the two execution backends (in-process local
-// workers, or a fleet of `pimbench work -dynamic` subprocesses that
-// plan per job spec instead of per startup flags).
+// workers, or a fleet of `pimbench work` subprocesses that plan per
+// job spec — the same workers `pimbench coord` launches).
 
 import (
 	"bytes"
@@ -72,9 +72,8 @@ type resolvedPlan struct {
 
 // planCache memoizes resolved plans by full spec identity
 // (experiment × scale × seed × overrides). Planning is deterministic,
-// so the daemon and every dynamic worker derive identical fingerprints
-// from the same spec — the serve-fleet analogue of the coordinator's
-// hello-skew guarantee.
+// so a coordinator or daemon and every worker derive identical
+// fingerprints from the same spec.
 type planCache struct {
 	opts  Options
 	mu    sync.Mutex
@@ -157,8 +156,11 @@ func (pc *planCache) resolve(spec coord.JobSpec) (*resolvedPlan, error) {
 	return rp, nil
 }
 
-// execute resolves a dynamic job's spec and runs the fingerprint's
-// simulation, with the worker protocol's panic capture.
+// execute resolves a job's spec and runs the fingerprint's simulation.
+// A fingerprint the resolved plan lacks is plan skew between the
+// submitter and this worker, and fails the job loudly. A panicking
+// point becomes a job-level error, mirroring the in-process runner's
+// panic capture: the worker survives to serve its siblings.
 func (pc *planCache) execute(spec coord.JobSpec, key, fingerprint string) (r Result, err error) {
 	rp, err := pc.resolve(spec)
 	if err != nil {
@@ -166,7 +168,7 @@ func (pc *planCache) execute(spec coord.JobSpec, key, fingerprint string) (r Res
 	}
 	j, ok := rp.byFP[fingerprint]
 	if !ok {
-		return r, fmt.Errorf("unknown fingerprint %s for %s (plan skew between daemon and worker?)",
+		return r, fmt.Errorf("unknown fingerprint %s for %s (plan skew between coordinator and worker?)",
 			fingerprint, key)
 	}
 	defer func() {
@@ -177,35 +179,19 @@ func (pc *planCache) execute(spec coord.JobSpec, key, fingerprint string) (r Res
 	return j.Job().Run()
 }
 
-// ServeDynamicWork is the worker half of a serve fleet — `pimbench
-// work -dynamic`: it plans nothing at startup (hello announces
-// DynamicDistinct), derives each job's plan from the spec riding in
-// its frame, and memoizes resolved plans across jobs. failAfter > 0 is
-// the same crash-injection hook the static worker has.
-func ServeDynamicWork(opts Options, in io.Reader, out io.Writer, failAfter int) error {
-	pc := newPlanCache(opts)
+// RunWorker is the worker half of every fleet — the hidden `pimbench
+// work` endpoint that `pimbench coord` and `pimbench serve` spawn. It
+// plans nothing at startup (its hello announces DynamicDistinct),
+// derives each job's plan from the spec riding in its frame, and
+// memoizes resolved plans across jobs, serving protocol requests from
+// in and replying on out. failAfter > 0 is the crash-injection test
+// hook (serve that many jobs, then exit 3 on the next).
+func RunWorker(opts Options, in io.Reader, out io.Writer, failAfter int) error {
 	return coord.Serve(in, out, coord.ServeOptions{
-		Distinct: coord.DynamicDistinct,
-		Execute: func(key, fingerprint string) (Result, error) {
-			return Result{}, errors.New("dynamic worker requires a job spec")
-		},
-		ExecuteSpec: pc.execute,
-		FailAfter:   failAfter,
-		Log:         opts.Log,
+		Execute:   newPlanCache(opts).execute,
+		FailAfter: failAfter,
+		Log:       opts.Log,
 	})
-}
-
-// serveWorkArgs builds the dynamic work-subcommand argv a serve daemon
-// hands its fleet. Unlike coordWorkArgs there is no experiment, scale
-// or seed — those travel per job in the spec — only the shared
-// resources workers attach to. TestServeWorkArgsRoundTrip asserts the
-// round-trip through the work flag set.
-func serveWorkArgs(opts Options) []string {
-	args := []string{"work", "-dynamic"}
-	if opts.Snapshots != nil {
-		args = append(args, "-snapshot-dir", opts.Snapshots.Dir())
-	}
-	return args
 }
 
 // ServerOptions configures the daemon around Options (which carries
@@ -241,7 +227,6 @@ type ServerOptions struct {
 // of the result cache and an elastic worker pool.
 type Server struct {
 	opts    Options
-	sopts   ServerOptions
 	pc      *planCache
 	pool    *coord.Pool
 	hs      *http.Server
@@ -257,19 +242,10 @@ func NewServer(opts Options, sopts ServerOptions) (*Server, error) {
 	if opts.Cache == nil {
 		return nil, errors.New("pimbench serve needs Options.Cache: the daemon is a results CDN over the shared result cache")
 	}
-	s := &Server{opts: opts, sopts: sopts, pc: newPlanCache(opts)}
-
-	// The pool (and the HTTP handlers) log from many goroutines, but
-	// Options.Log's contract does not require goroutine-safety.
-	s.logf = func(string, ...any) {}
-	if opts.Log != nil {
-		var logMu sync.Mutex
-		base := opts.Log
-		s.logf = func(format string, args ...any) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			base(format, args...)
-		}
+	s := &Server{opts: opts, pc: newPlanCache(opts), logf: serialLog(opts)}
+	launch := procLauncher(opts, sopts.WorkerCmd, sopts.WorkerStderr, sopts.FailWorker, sopts.FailAfter)
+	if sopts.Local {
+		launch = func(int) (coord.Worker, error) { return &localServeWorker{pc: s.pc}, nil }
 	}
 
 	s.target = sopts.Workers
@@ -277,7 +253,7 @@ func NewServer(opts Options, sopts ServerOptions) (*Server, error) {
 		s.target = 2
 	}
 	s.pool = coord.NewPool(coord.PoolOptions{
-		Launch:       s.launchWorker,
+		Launch:       launch,
 		MaxAttempts:  sopts.MaxAttempts,
 		BaseBackoff:  sopts.BaseBackoff,
 		MaxBackoff:   sopts.MaxBackoff,
@@ -474,33 +450,6 @@ func (s *Server) exec(req serve.JobRequest, p serve.Point, done func(Result, err
 	}
 }
 
-// launchWorker starts one fleet member: an in-process worker (Local)
-// or a `pimbench work -dynamic` subprocess.
-func (s *Server) launchWorker(id int) (coord.Worker, error) {
-	if s.sopts.Local {
-		return &localServeWorker{pc: s.pc}, nil
-	}
-	args := serveWorkArgs(s.opts)
-	if s.sopts.FailAfter > 0 && id == s.sopts.FailWorker {
-		args = append(append([]string(nil), args...),
-			"-fail-after", strconv.Itoa(s.sopts.FailAfter))
-	}
-	argv, err := workerArgv(s.sopts.WorkerCmd, args)
-	if err != nil {
-		return nil, err
-	}
-	w, hello, err := coord.StartProc(id, argv, s.sopts.WorkerStderr)
-	if err != nil {
-		return nil, err
-	}
-	if hello.Distinct != coord.DynamicDistinct {
-		w.Close()
-		return nil, fmt.Errorf("worker announced a static plan (distinct %d); a serve fleet needs `work -dynamic` workers",
-			hello.Distinct)
-	}
-	return w, nil
-}
-
 // onWorkerLost keeps the fleet at the auto-replace target while the
 // daemon is live.
 func (s *Server) onWorkerLost(id int, err error) {
@@ -517,14 +466,14 @@ func (s *Server) onWorkerLost(id int, err error) {
 	s.logf("serve: worker %d lost (%v), replacement joined", id, err)
 }
 
-// localServeWorker executes dynamic tasks in-process. Execution errors
+// localServeWorker executes tasks in-process. Execution errors
 // are job-level (*coord.JobError): an in-process worker does not die
 // with its job.
 type localServeWorker struct{ pc *planCache }
 
 func (w *localServeWorker) Run(t coord.Task) (Result, error) {
 	if t.Spec == nil {
-		return Result{}, &coord.JobError{Msg: "dynamic task without a spec"}
+		return Result{}, &coord.JobError{Msg: "task carries no spec"}
 	}
 	v, err := w.pc.execute(*t.Spec, t.Key, t.Fingerprint)
 	if err != nil {
