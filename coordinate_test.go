@@ -165,6 +165,66 @@ func TestCoordinateAllWorkersLost(t *testing.T) {
 	}
 }
 
+// crashOn loses its worker whenever it is handed fingerprint fp.
+type crashOn struct {
+	coord.Worker
+	fp string
+}
+
+func (w crashOn) Run(t coord.Task) (system.Result, error) {
+	if t.Fingerprint == w.fp {
+		return system.Result{}, errors.New("simulated crash")
+	}
+	return w.Worker.Run(t)
+}
+
+// TestCoordinateLossFailsStrandedTask: one job failure plus one worker
+// death must not hang the batch. Worker 0 fails fp-0 as a job; worker
+// 1 crashes on it, or on its third job, whichever comes first. When
+// worker 0 fails fp-0 first, fp-0 is requeued for worker 1, which dies
+// before reaching it. The survivor is excluded from fp-0 and no
+// replacement joins, so the batch must settle fp-0 as failed and
+// return. Which worker takes fp-0 first is timing-dependent, hence the
+// seeds.
+func TestCoordinateLossFailsStrandedTask(t *testing.T) {
+	for seed := 0; seed < 8; seed++ {
+		f := newFakeFleet(func(id int, w *fleetWorker) error {
+			w.rng = rand.New(rand.NewSource(int64(seed*10 + id)))
+			if id == 0 {
+				w.jobErrs = map[string]bool{"fp-0": true}
+			} else {
+				w.dieAfter = 2
+			}
+			return nil
+		})
+		launch := func(id int) (coord.Worker, error) {
+			w, err := f.launch(id)
+			if id == 1 && err == nil {
+				w = crashOn{w, "fp-0"}
+			}
+			return w, err
+		}
+		done := make(chan struct{})
+		var sum CoordSummary
+		var err error
+		go func() {
+			defer close(done)
+			sum, err = runBatch(mkCoordTasks(30), 2, launch, nil, nil, discardLog)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("seed %d: batch hung on a task no surviving worker may run", seed)
+		}
+		if err == nil || !strings.Contains(err.Error(), "key-0") {
+			t.Fatalf("seed %d: error must name the stranded task: %v", seed, err)
+		}
+		if sum.Done != 29 || sum.Failed != 1 || sum.WorkersLost != 1 {
+			t.Fatalf("seed %d: summary %+v", seed, sum)
+		}
+	}
+}
+
 // TestCoordinateLaunchFailure: a worker that cannot launch is a lost
 // worker, not a fatal error — the rest of the fleet absorbs its share,
 // and the failed launch is still reported.

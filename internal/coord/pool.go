@@ -74,9 +74,10 @@ type Outcome struct {
 // its streak.
 //
 // A task that every current worker is excluded from settles as failed
-// only while the fleet is non-empty; with no workers at all it stays
-// queued, waiting for a join (the elastic case: a daemon replacing a
-// lost worker). Close fails everything still queued.
+// only while the fleet is non-empty — whether it was just requeued or
+// was already queued when a worker died; with no workers at all it
+// stays queued, waiting for a join (the elastic case: a daemon
+// replacing a lost worker). Close fails everything still queued.
 type Pool struct {
 	o PoolOptions
 
@@ -336,26 +337,46 @@ func (p *Pool) take(pw *poolWorker) *poolTask {
 func (p *Pool) requeueLocked(t *poolTask, worker int, err error) (failed *poolTask) {
 	t.excluded[worker] = true
 	t.lastErr = err
-	if p.closed || t.attempts >= p.o.maxAttempts() {
+	if p.closed || t.attempts >= p.o.maxAttempts() || p.strandedLocked(t) {
 		return t
 	}
-	if len(p.workers) > 0 {
-		eligible := false
-		for id, pw := range p.workers {
-			if !t.excluded[id] && !pw.leaving {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
-			return t
-		}
-	}
-	// An empty fleet keeps the task queued: the pool is elastic, a
-	// replacement worker may join (OnWorkerLost typically adds one).
 	p.queue = append(p.queue, t)
 	p.cond.Broadcast()
 	return nil
+}
+
+// strandedLocked reports whether no current worker may ever run t:
+// the fleet is non-empty and every member is excluded from t or
+// leaving. An empty fleet strands nothing: the pool is elastic, and a
+// replacement worker may join (OnWorkerLost typically adds one).
+// Callers hold mu.
+func (p *Pool) strandedLocked(t *poolTask) bool {
+	if len(p.workers) == 0 {
+		return false
+	}
+	for id, pw := range p.workers {
+		if !t.excluded[id] && !pw.leaving {
+			return false
+		}
+	}
+	return true
+}
+
+// dropStrandedLocked removes and returns the queued tasks that a
+// shrunken fleet can no longer run. Without it, a task excluded from
+// every survivor would wait for a join that may never come. Callers
+// hold mu and invoke the returned tasks' done after releasing it.
+func (p *Pool) dropStrandedLocked() (failed []*poolTask) {
+	kept := p.queue[:0]
+	for _, t := range p.queue {
+		if p.strandedLocked(t) {
+			failed = append(failed, t)
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	p.queue = kept
+	return failed
 }
 
 // failOutcome renders a permanently failed task's outcome.
@@ -417,12 +438,16 @@ func (p *Pool) loop(pw *poolWorker) {
 			p.mu.Lock()
 			delete(p.workers, pw.id)
 			p.lost++
-			failed := p.requeueLocked(t, pw.id, err)
+			var failed []*poolTask
+			if f := p.requeueLocked(t, pw.id, err); f != nil {
+				failed = append(failed, f)
+			}
+			failed = append(failed, p.dropStrandedLocked()...)
 			p.mu.Unlock()
 			pw.w.Close()
 			p.o.log("pool: worker %d lost (%v), requeueing %s", pw.id, err, t.t.Key)
-			if failed != nil {
-				failed.done(failOutcome(failed))
+			for _, f := range failed {
+				f.done(failOutcome(f))
 			}
 			if p.o.OnWorkerLost != nil {
 				p.o.OnWorkerLost(pw.id, err)

@@ -100,88 +100,70 @@ func drain(t *testing.T, out chan Outcome, n int) []Outcome {
 	return got
 }
 
+// checkExactlyOnce runs n tasks on a healthy fleet of `workers` fake
+// workers with delays drawn from seed: every task must be delivered
+// exactly once and succeed, every fingerprint execute exactly once,
+// and the pool record no retry, loss or leftover queue.
+func checkExactlyOnce(t *testing.T, workers int, seed int64, n int) {
+	t.Helper()
+	tl := newTally()
+	p := NewPool(PoolOptions{Launch: func(id int) (Worker, error) {
+		return &fakeWorker{id: id, rng: rand.New(rand.NewSource(seed + int64(id))),
+			tally: tl, dieAfter: -1}, nil
+	}})
+	defer p.Close()
+	for i := 0; i < workers; i++ {
+		if _, err := p.AddWorker(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tasks := mkTasks(n)
+	delivered := map[string]int{}
+	for _, o := range drain(t, submitAll(t, p, tasks), n) {
+		delivered[o.Task.Key]++
+		if o.Err != nil {
+			t.Fatalf("w=%d seed=%d: %s failed: %v", workers, seed, o.Task.Key, o.Err)
+		}
+	}
+	for _, task := range tasks {
+		if got := delivered[task.Key]; got != 1 {
+			t.Fatalf("w=%d seed=%d: %s delivered %d times, want exactly 1", workers, seed, task.Key, got)
+		}
+		if got := tl.count[task.Fingerprint]; got != 1 {
+			t.Fatalf("w=%d seed=%d: fingerprint %s executed %d times, want exactly 1",
+				workers, seed, task.Fingerprint, got)
+		}
+	}
+	s := p.Stats()
+	if len(s.Workers) != workers || s.Retried != 0 || s.Lost != 0 || s.Queued != 0 {
+		t.Fatalf("w=%d seed=%d: stats %+v", workers, seed, s)
+	}
+	var done int
+	for _, ws := range s.Workers {
+		done += ws.Done
+		if ws.Done > 0 && ws.BusyNs <= 0 {
+			t.Fatalf("worker %d busy for 0ns over %d tasks", ws.ID, ws.Done)
+		}
+	}
+	if done != n {
+		t.Fatalf("w=%d seed=%d: per-worker done sums to %d, want %d", workers, seed, done, n)
+	}
+}
+
 // TestPoolExactlyOnce: a healthy elastic fleet settles every submitted
 // task successfully with each fingerprint executed exactly once.
 func TestPoolExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		tl := newTally()
-		p := NewPool(PoolOptions{Launch: func(id int) (Worker, error) {
-			return &fakeWorker{id: id, rng: rand.New(rand.NewSource(int64(id) + 1)),
-				tally: tl, dieAfter: -1}, nil
-		}})
-		for i := 0; i < workers; i++ {
-			if _, err := p.AddWorker(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tasks := mkTasks(50)
-		outcomes := drain(t, submitAll(t, p, tasks), 50)
-		for _, o := range outcomes {
-			if o.Err != nil {
-				t.Fatalf("w=%d: %s failed: %v", workers, o.Task.Key, o.Err)
-			}
-		}
-		for _, task := range tasks {
-			if got := tl.count[task.Fingerprint]; got != 1 {
-				t.Fatalf("w=%d: fingerprint %s executed %d times, want 1", workers, task.Fingerprint, got)
-			}
-		}
-		s := p.Stats()
-		if len(s.Workers) != workers || s.Lost != 0 || s.Queued != 0 {
-			t.Fatalf("stats %+v", s)
-		}
-		var done int
-		for _, ws := range s.Workers {
-			done += ws.Done
-			if ws.Done > 0 && ws.BusyNs <= 0 {
-				t.Fatalf("worker %d busy for 0ns over %d tasks", ws.ID, ws.Done)
-			}
-		}
-		if done != 50 {
-			t.Fatalf("w=%d: per-worker done sums to %d, want 50", workers, done)
-		}
-		p.Close()
+		checkExactlyOnce(t, workers, 1, 50)
 	}
 }
 
-// TestRunExactlyOnce: a run of tasks over healthy fleets of every
-// size, at several delay seeds, delivers exactly one successful
-// outcome per task and executes each fingerprint exactly once — no
-// retries, no losses.
+// TestRunExactlyOnce: the same property over a coordinated run's
+// shapes — more tasks, more fleet sizes, several delay seeds.
 func TestRunExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
+	for _, workers := range []int{2, 7, 16} {
 		for seed := int64(1); seed <= 3; seed++ {
-			tl := newTally()
-			p := NewPool(PoolOptions{Launch: func(id int) (Worker, error) {
-				return &fakeWorker{id: id, rng: rand.New(rand.NewSource(seed + int64(id))),
-					tally: tl, dieAfter: -1}, nil
-			}})
-			for i := 0; i < workers; i++ {
-				if _, err := p.AddWorker(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tasks := mkTasks(100)
-			delivered := map[string]int{}
-			for _, o := range drain(t, submitAll(t, p, tasks), 100) {
-				delivered[o.Task.Key]++
-				if o.Err != nil {
-					t.Errorf("w=%d seed=%d: %s failed: %v", workers, seed, o.Task.Key, o.Err)
-				}
-			}
-			p.Close()
-			for _, task := range tasks {
-				if got := delivered[task.Key]; got != 1 {
-					t.Fatalf("w=%d seed=%d: %s delivered %d times, want exactly 1", workers, seed, task.Key, got)
-				}
-				if got := tl.count[task.Fingerprint]; got != 1 {
-					t.Fatalf("w=%d seed=%d: fingerprint %s executed %d times, want exactly 1",
-						workers, seed, task.Fingerprint, got)
-				}
-			}
-			if s := p.Stats(); s.Retried != 0 || s.Lost != 0 || s.Queued != 0 {
-				t.Fatalf("w=%d seed=%d: stats %+v", workers, seed, s)
-			}
+			checkExactlyOnce(t, workers, seed, 100)
 		}
 	}
 }
@@ -532,6 +514,62 @@ func TestPoolCloseSettlesInFlightFailure(t *testing.T) {
 		}
 	default:
 		t.Fatal("in-flight task never settled: Close returned with its outcome lost")
+	}
+}
+
+// TestPoolLossFailsStrandedTasks: a worker death must fail the queued
+// tasks that every survivor is excluded from, not only the task it had
+// in flight. Worker 1 fails fp-1 as a job while worker 0, still alive
+// and eligible, is busy, so fp-1 is requeued; worker 0 then dies. The
+// survivor may never run fp-1 and no replacement joins, so fp-1 must
+// settle as failed rather than wait forever.
+func TestPoolLossFailsStrandedTasks(t *testing.T) {
+	gated := &gatedWorker{started: make(chan struct{}), release: make(chan error)}
+	p := NewPool(PoolOptions{
+		BaseBackoff: time.Millisecond,
+		Launch: func(id int) (Worker, error) {
+			if id == 0 {
+				return gated, nil
+			}
+			return &fakeWorker{id: id, rng: rand.New(rand.NewSource(3)), tally: newTally(),
+				dieAfter: -1, jobErrs: map[string]bool{"fp-1": true}}, nil
+		},
+	})
+	defer p.Close()
+	tasks := mkTasks(2)
+	if _, err := p.AddWorker(); err != nil {
+		t.Fatal(err)
+	}
+	out := submitAll(t, p, tasks[:1])
+	<-gated.started
+	if _, err := p.AddWorker(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Submit(tasks[1], func(o Outcome) { out <- o }); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		s := p.Stats()
+		if s.Queued == 1 && len(s.Workers) == 2 && s.Workers[1].Failed == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fp-1 never requeued after its job error: %+v", s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gated.release <- errors.New("broken pipe")
+	for _, o := range drain(t, out, 2) {
+		switch o.Task.Key {
+		case "key-0":
+			if o.Err != nil || o.Worker != 1 {
+				t.Errorf("in-flight task of the lost worker: %+v, want retried on worker 1", o)
+			}
+		case "key-1":
+			if o.Err == nil || !strings.Contains(o.Err.Error(), "simulated job failure") {
+				t.Errorf("stranded task: %+v, want failed with its job error", o)
+			}
+		}
 	}
 }
 
