@@ -18,6 +18,27 @@ import (
 // across machines and with pre-runner history.
 var benchOpts = Options{Scale: ScaleBench, Parallelism: 1}
 
+// experimentFigures plans the named experiment, runs it with runPlan
+// and renders every artifact, returning the figures by artifact name.
+func experimentFigures(tb testing.TB, name string, opts Options) map[string][]Figure {
+	tb.Helper()
+	spec, ok := LookupExperiment(name)
+	if !ok {
+		tb.Fatalf("unknown experiment %q", name)
+	}
+	rs, err := executeSpec(spec, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := map[string][]Figure{}
+	for _, a := range spec.Artifacts(opts) {
+		if out[a.Name], err = spec.Render(opts, a.Name, rs); err != nil {
+			tb.Fatalf("%s: %v", a.Name, err)
+		}
+	}
+	return out
+}
+
 // reportLast attaches the final sweep point of each variant as metrics.
 func reportLast(b *testing.B, s *Series, unit string) {
 	b.Helper()
@@ -56,10 +77,7 @@ func BenchmarkFig1Litmus(b *testing.B) {
 // BenchmarkFig3Coherence regenerates Fig. 3 (naive / uncacheable / swflush).
 func BenchmarkFig3Coherence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := Fig3(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := experimentFigures(b, "fig3", benchOpts)["fig3"][0].(*Series)
 		reportLast(b, s, "norm")
 	}
 }
@@ -67,30 +85,24 @@ func BenchmarkFig3Coherence(b *testing.B) {
 // BenchmarkFig7YCSB regenerates Fig. 7 (run time, absolute + normalized).
 func BenchmarkFig7YCSB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig7(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, f.Norm, "norm")
+		norm := experimentFigures(b, "fig7", benchOpts)["fig7"][1].(*Series)
+		reportLast(b, norm, "norm")
 	}
 }
 
 // BenchmarkFig8TPCH regenerates Fig. 8 (per-query normalized run time) and
-// Fig. 9's TPC-H hit rates.
+// Fig. 9 (scope buffer hit rates) from the whole fig8 spec.
 func BenchmarkFig8TPCH(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Fig8Fig9(benchOpts); err != nil {
-			b.Fatal(err)
-		}
+		experimentFigures(b, "fig8", benchOpts)
 	}
 }
 
-// BenchmarkFig9ScopeBuffer regenerates the YCSB scope-buffer hit rates.
+// BenchmarkFig9ScopeBuffer regenerates Fig. 9's scope-buffer hit rates,
+// TPC-H and YCSB columns, from the whole fig8 spec.
 func BenchmarkFig9ScopeBuffer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Fig9YCSB(benchOpts); err != nil {
-			b.Fatal(err)
-		}
+		experimentFigures(b, "fig9", benchOpts)
 	}
 }
 
@@ -98,12 +110,9 @@ func BenchmarkFig9ScopeBuffer(b *testing.B) {
 // sweep with Fig. 7).
 func BenchmarkFig10PIMStats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig7(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, f.BufLen, "buflen")
-		reportLast(b, f.ScanLatency, "scancyc")
+		f := experimentFigures(b, "fig10", benchOpts)["fig10"]
+		reportLast(b, f[0].(*Series), "buflen")
+		reportLast(b, f[2].(*Series), "scancyc")
 	}
 }
 
@@ -111,33 +120,23 @@ func BenchmarkFig10PIMStats(b *testing.B) {
 // Fig. 11b (zero PIM latency).
 func BenchmarkFig11Ablations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Fig11a(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Fig11b(benchOpts); err != nil {
-			b.Fatal(err)
-		}
+		experimentFigures(b, "fig11a", benchOpts)
+		experimentFigures(b, "fig11b", benchOpts)
 	}
 }
 
 // BenchmarkFig12LLC8MB regenerates the 8MB-LLC experiment.
 func BenchmarkFig12LLC8MB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig12(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, f.ScanLatency, "scancyc")
+		scan := experimentFigures(b, "fig12", benchOpts)["fig12"][1].(*Series)
+		reportLast(b, scan, "scancyc")
 	}
 }
 
 // BenchmarkFig13Threads8 regenerates the 8-thread / 16-core experiment.
 func BenchmarkFig13Threads8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := Fig13(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := experimentFigures(b, "fig13", benchOpts)["fig13"][0].(*Series)
 		reportLast(b, s, "norm")
 	}
 }

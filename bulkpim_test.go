@@ -67,10 +67,7 @@ func TestExperimentsList(t *testing.T) {
 // TestFig3BenchScale checks the Fig. 3 ordering at the smallest scale:
 // uncacheable must be the slowest coherence approach, swflush in between.
 func TestFig3BenchScale(t *testing.T) {
-	s, err := Fig3(Options{Scale: ScaleBench})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := experimentFigures(t, "fig3", Options{Scale: ScaleBench})["fig3"][0].(*Series)
 	last := len(s.X) - 1
 	naive := s.Y["naive"][last]
 	sw := s.Y["swflush"][last]
@@ -87,21 +84,20 @@ func TestFig3BenchScale(t *testing.T) {
 // four models' overhead over naive stays small (paper: at most ~6%; the
 // reduced scale allows a wider margin) and all runs complete.
 func TestFig7BenchScale(t *testing.T) {
-	f, err := Fig7(Options{Scale: ScaleBench})
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := experimentFigures(t, "fig7", Options{Scale: ScaleBench})
+	norm := figs["fig7"][1].(*Series)
 	for _, m := range []string{"atomic", "store", "scope", "scope-relaxed"} {
-		for i := range f.Norm.X {
-			v := f.Norm.Y[m][i]
+		for i := range norm.X {
+			v := norm.Y[m][i]
 			if v <= 0 || v > 1.5 {
-				t.Errorf("%s at %v scopes: norm %v out of plausible range", m, f.Norm.X[i], v)
+				t.Errorf("%s at %v scopes: norm %v out of plausible range", m, norm.X[i], v)
 			}
 		}
 	}
 	// Scan machinery engaged: scan latency sampled, skip ratio high.
-	last := len(f.SkipRatio.X) - 1
-	if f.SkipRatio.Y["atomic"][last] < 0.5 {
-		t.Errorf("SBV skip ratio %v implausibly low", f.SkipRatio.Y["atomic"][last])
+	skip := figs["fig10"][3].(*Series)
+	last := len(skip.X) - 1
+	if skip.Y["atomic"][last] < 0.5 {
+		t.Errorf("SBV skip ratio %v implausibly low", skip.Y["atomic"][last])
 	}
 }

@@ -106,6 +106,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -243,8 +244,8 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case sharded:
 		runErr = runShard(*f.exp, opts, shard, stderr)
-	case *f.stream:
-		runErr = streamExperiments(*f.exp, opts, stdout, stderr)
+	case *f.stream || *f.csvDir != "":
+		runErr = streamExperiments(*f.exp, opts, *f.stream, *f.csvDir, stdout, stderr)
 	default:
 		runErr = runExperiments(*f.exp, opts, stdout, stderr)
 	}
@@ -257,12 +258,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if runErr != nil {
 		fmt.Fprintf(stderr, "pimbench: %v\n", runErr)
 		return 1
-	}
-	if *f.csvDir != "" {
-		if err := writeCSVs(*f.csvDir, *f.exp, opts, stderr); err != nil {
-			fmt.Fprintf(stderr, "pimbench: csv: %v\n", err)
-			return 1
-		}
 	}
 	if *f.gcstats != "" {
 		if err := writeGCStats(*f.gcstats); err != nil {
@@ -756,70 +751,51 @@ func logStreamEmit(e bulkpim.StreamEmit, stderr io.Writer) {
 	fmt.Fprintf(stderr, "pimbench: artifact %s/%s ready (settled #%d)\n", e.Experiment, e.Artifact, e.Seq+1)
 }
 
-// streamExperiments is runExperiments with -stream: artifacts render
-// the moment their last job settles and reach stdout incrementally in
-// canonical order, byte-identical to the batch report for a successful
-// run.
-func streamExperiments(exp string, opts bulkpim.Options, stdout, stderr io.Writer) error {
+// streamExperiments is runExperiments on the streaming path, taken
+// for -stream and -csvdir: artifacts render the moment their last job
+// settles and reach stdout incrementally in canonical order,
+// byte-identical to the batch report for a successful run. logEmits
+// logs each settle on stderr; a non-empty csvDir receives each
+// artifact's figures as CSV files.
+func streamExperiments(exp string, opts bulkpim.Options, logEmits bool, csvDir string, stdout, stderr io.Writer) error {
+	if csvDir != "" {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+			return fmt.Errorf("csv: %w", err)
+		}
+	}
+	var csvErr error // emissions are serialized, so no lock is needed
 	timings, err := bulkpim.StreamReport(exp, opts, func(e bulkpim.StreamEmit) {
-		logStreamEmit(e, stderr)
+		if logEmits {
+			logStreamEmit(e, stderr)
+		}
+		if csvDir != "" && e.Err == nil && csvErr == nil {
+			csvErr = writeCSVs(csvDir, e)
+		}
 	}, stdout)
 	if len(timings) > 0 {
 		fmt.Fprintf(stderr, "pimbench: %s\n", bulkpim.TimingFooter(timings))
 	}
-	return err
-}
-
-// writeCSVs re-renders figure series as CSV for external plotting. Only
-// series-shaped experiments have CSV forms.
-func writeCSVs(dir, exp string, opts bulkpim.Options, stderr io.Writer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err != nil {
 		return err
 	}
-	write := func(name string, s *bulkpim.Series) error {
-		return os.WriteFile(dir+"/"+name+".csv", []byte(s.CSV()), 0o644)
+	if csvErr != nil {
+		return fmt.Errorf("csv: %w", csvErr)
 	}
-	switch exp {
-	case "fig3":
-		s, err := bulkpim.Fig3(opts)
-		if err != nil {
+	return nil
+}
+
+// writeCSVs writes one settled artifact's figures into dir for
+// external plotting: ARTIFACT.csv for a one-figure artifact, and
+// ARTIFACTa.csv, ARTIFACTb.csv, … in render order otherwise.
+func writeCSVs(dir string, e bulkpim.StreamEmit) error {
+	for i, fig := range e.Figures {
+		name := e.Artifact
+		if len(e.Figures) > 1 {
+			name += string(rune('a' + i))
+		}
+		if err := os.WriteFile(filepath.Join(dir, name+".csv"), []byte(fig.CSV()), 0o644); err != nil {
 			return err
 		}
-		return write("fig3", s)
-	case "fig7", "fig10":
-		f, err := bulkpim.Fig7(opts)
-		if err != nil {
-			return err
-		}
-		for name, s := range map[string]*bulkpim.Series{
-			"fig7a": f.Abs, "fig7b": f.Norm, "fig10a": f.BufLen,
-			"fig10b": f.UniqueScopes, "fig10c": f.ScanLatency, "fig10d": f.SkipRatio,
-		} {
-			if err := write(name, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "fig11a":
-		s, err := bulkpim.Fig11a(opts)
-		if err != nil {
-			return err
-		}
-		return write("fig11a", s)
-	case "fig11b":
-		s, err := bulkpim.Fig11b(opts)
-		if err != nil {
-			return err
-		}
-		return write("fig11b", s)
-	case "fig13":
-		s, err := bulkpim.Fig13(opts)
-		if err != nil {
-			return err
-		}
-		return write("fig13", s)
-	default:
-		fmt.Fprintf(stderr, "pimbench: no CSV form for %s\n", exp)
-		return nil
 	}
+	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -783,4 +785,78 @@ func TestCoordStream(t *testing.T) {
 			t.Fatalf("missing settle line for %s:\n%s", a, se)
 		}
 	}
+}
+
+// TestRunCSVDir: -csvdir writes every rendered figure of the run it
+// accompanies as a CSV, from that run alone — each planned job
+// executes once — with the same file names and bytes at every
+// parallelism, and stdout stays the batch report.
+func TestRunCSVDir(t *testing.T) {
+	golden := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	fig7CSVs := []string{"fig10a.csv", "fig10b.csv", "fig10c.csv", "fig10d.csv", "fig7a.csv", "fig7b.csv"}
+	for _, par := range []string{"1", "4"} {
+		dir := t.TempDir()
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"run", "-exp", "fig7", "-scale", "smoke", "-parallel", par,
+			"-csvdir", dir, "-v"}, nil, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit %d, stderr:\n%s", par, code, stderr.String())
+		}
+		if got := csvNames(t, dir); !reflect.DeepEqual(got, fig7CSVs) {
+			t.Fatalf("-parallel %s: wrote %v, want %v", par, got, fig7CSVs)
+		}
+		for _, name := range fig7CSVs {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := golden(filepath.Join("csv", "fig7_smoke", name)); string(got) != want {
+				t.Fatalf("-parallel %s: %s differs from its golden:\n--- want ---\n%s--- got ---\n%s", par, name, want, got)
+			}
+		}
+		if stdout.String() != golden("fig7_smoke.golden") {
+			t.Fatalf("-parallel %s: stdout differs from fig7_smoke.golden:\n%s", par, stdout.String())
+		}
+		if n := strings.Count(stderr.String(), " cycles="); n != 6 {
+			t.Fatalf("-parallel %s: %d job completions, want 6 (one per planned job):\n%s", par, n, stderr.String())
+		}
+	}
+
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"run", "-exp", "all", "-scale", "smoke", "-parallel", "4",
+		"-csvdir", dir}, nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("-exp all: exit %d, stderr:\n%s", code, stderr.String())
+	}
+	want := []string{"ablation.csv", "area.csv", "fig1.csv", "fig10a.csv", "fig10b.csv",
+		"fig10c.csv", "fig10d.csv", "fig11a.csv", "fig11b.csv", "fig12a.csv", "fig12b.csv",
+		"fig12c.csv", "fig13.csv", "fig3.csv", "fig7a.csv", "fig7b.csv", "fig8.csv", "fig9a.csv",
+		"fig9b.csv", "multimod.csv", "sbsize.csv", "table1.csv", "table2.csv", "table3.csv",
+		"table4.csv"}
+	if got := csvNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("-exp all wrote %d files %v, want %d %v", len(got), got, len(want), want)
+	}
+	if stdout.String() != golden("all_smoke.golden") {
+		t.Fatalf("-exp all -csvdir stdout differs from all_smoke.golden:\n%s", stdout.String())
+	}
+}
+
+// csvNames lists the CSV files in dir, sorted.
+func csvNames(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range names {
+		names[i] = filepath.Base(n)
+	}
+	return names
 }

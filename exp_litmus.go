@@ -78,6 +78,8 @@ func fig1Keys() []string {
 	return out
 }
 
+// fig1Spec runs the litmus sweep for every variant and tabulates the
+// verdicts.
 func fig1Spec() ExperimentSpec {
 	s := ExperimentSpec{
 		Name: "fig1",
@@ -85,12 +87,8 @@ func fig1Spec() ExperimentSpec {
 	}
 	s.Artifacts, s.Render = singleArtifact("fig1",
 		func(Options) []string { return fig1Keys() },
-		func(opts Options, rs *ResultSet) (string, error) {
-			t, err := fig1TableFrom(opts, rs)
-			if err != nil {
-				return "", err
-			}
-			return render(t), nil
+		func(opts Options, rs *ResultSet) ([]Figure, error) {
+			return figures(fig1TableFrom(opts, rs))
 		})
 	return s
 }
@@ -119,14 +117,4 @@ func fig1TableFrom(opts Options, rs *ResultSet) (*Table, error) {
 		opts.log("fig1 %s stale=%v cycle=%v", m, stale, cycle)
 	}
 	return t, nil
-}
-
-// Fig1Table runs the litmus sweep for every variant and tabulates the
-// verdicts (§I / Fig. 1).
-func Fig1Table(opts Options) (*Table, error) {
-	rs, err := runPlan(opts, "fig1", planFig1())
-	if err != nil {
-		return nil, err
-	}
-	return fig1TableFrom(opts, rs)
 }

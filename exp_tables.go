@@ -21,8 +21,8 @@ import (
 func tableSpec(name string, build func() *Table) ExperimentSpec {
 	s := ExperimentSpec{Name: name}
 	s.Artifacts, s.Render = singleArtifact(name, nil,
-		func(Options, *ResultSet) (string, error) {
-			return render(build()), nil
+		func(Options, *ResultSet) ([]Figure, error) {
+			return []Figure{build()}, nil
 		})
 	return s
 }
@@ -162,6 +162,8 @@ func ablationTableFrom(opts Options, rs *ResultSet) (*Table, error) {
 	return t, nil
 }
 
+// ablationSpec quantifies the coherence hardware of §IV (see
+// ablationVariants).
 func ablationSpec() ExperimentSpec {
 	s := ExperimentSpec{
 		Name: "ablation",
@@ -175,24 +177,10 @@ func ablationSpec() ExperimentSpec {
 			}
 			return keys
 		},
-		func(opts Options, rs *ResultSet) (string, error) {
-			t, err := ablationTableFrom(opts, rs)
-			if err != nil {
-				return "", err
-			}
-			return render(t), nil
+		func(opts Options, rs *ResultSet) ([]Figure, error) {
+			return figures(ablationTableFrom(opts, rs))
 		})
 	return s
-}
-
-// AblationTable quantifies the coherence hardware of §IV (see
-// ablationVariants).
-func AblationTable(opts Options) (*Table, error) {
-	rs, err := runPlan(opts, "ablation", planAblation(opts))
-	if err != nil {
-		return nil, err
-	}
-	return ablationTableFrom(opts, rs)
 }
 
 // ---- Scope buffer sizing (§IV-A) ----
@@ -246,6 +234,9 @@ func sbsizeTableFrom(opts Options, rs *ResultSet) (*Table, error) {
 	return t, nil
 }
 
+// sbsizeSpec reproduces the §IV-A sizing claim: "even a small-sized
+// scope buffer is sufficient to achieve close to the maximum possible
+// hit rate".
 func sbsizeSpec() ExperimentSpec {
 	s := ExperimentSpec{
 		Name: "sbsize",
@@ -259,25 +250,10 @@ func sbsizeSpec() ExperimentSpec {
 			}
 			return keys
 		},
-		func(opts Options, rs *ResultSet) (string, error) {
-			t, err := sbsizeTableFrom(opts, rs)
-			if err != nil {
-				return "", err
-			}
-			return render(t), nil
+		func(opts Options, rs *ResultSet) ([]Figure, error) {
+			return figures(sbsizeTableFrom(opts, rs))
 		})
 	return s
-}
-
-// ScopeBufferSizingTable reproduces the §IV-A sizing claim: "even a
-// small-sized scope buffer is sufficient to achieve close to the maximum
-// possible hit rate".
-func ScopeBufferSizingTable(opts Options) (*Table, error) {
-	rs, err := runPlan(opts, "sbsize", planSBSize(opts))
-	if err != nil {
-		return nil, err
-	}
-	return sbsizeTableFrom(opts, rs)
 }
 
 // ---- Multi-module extension ----
@@ -328,6 +304,10 @@ func multimodTableFrom(opts Options, rs *ResultSet) (*Table, error) {
 	return t, nil
 }
 
+// multimodSpec is an extension experiment: scopes distributed over N
+// PIM modules ("different PIM modules ... connect to the same host",
+// §II-A). More modules add module-level buffering and arrival
+// bandwidth.
 func multimodSpec() ExperimentSpec {
 	s := ExperimentSpec{
 		Name: "multimod",
@@ -341,23 +321,8 @@ func multimodSpec() ExperimentSpec {
 			}
 			return keys
 		},
-		func(opts Options, rs *ResultSet) (string, error) {
-			t, err := multimodTableFrom(opts, rs)
-			if err != nil {
-				return "", err
-			}
-			return render(t), nil
+		func(opts Options, rs *ResultSet) ([]Figure, error) {
+			return figures(multimodTableFrom(opts, rs))
 		})
 	return s
-}
-
-// MultiModuleTable is an extension experiment: scopes distributed over N
-// PIM modules ("different PIM modules ... connect to the same host",
-// §II-A). More modules add module-level buffering and arrival bandwidth.
-func MultiModuleTable(opts Options) (*Table, error) {
-	rs, err := runPlan(opts, "multimod", planMultiModule(opts))
-	if err != nil {
-		return nil, err
-	}
-	return multimodTableFrom(opts, rs)
 }

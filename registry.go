@@ -11,11 +11,12 @@ package bulkpim
 // into a local result cache, merges the caches, and runs the report
 // pass entirely from cache hits; a streaming run (stream.go) counts
 // down each artifact's key set as results settle and renders it the
-// moment its last job lands. The legacy monolithic Report is now a
-// method that concatenates the artifact renders in declaration order.
-// RunExperiment, RunAll, the pimbench plan/merge subcommands and the
-// -shard filter all resolve experiments through this one table, so the
-// advertised experiment list can never drift from what actually runs.
+// moment its last job lands. Render returns an artifact's figures, so
+// the text report (reportText) and the CSV files are two formats of
+// one render. RunExperiment, RunAll, the pimbench plan/merge
+// subcommands and the -shard filter all resolve experiments through
+// this one table, so the advertised experiment list can never drift
+// from what actually runs.
 
 import (
 	"errors"
@@ -40,6 +41,13 @@ type Artifact struct {
 	Keys []string
 }
 
+// Figure is one rendered figure or table of an artifact, in its two
+// output formats: report text and CSV. *Series and *Table satisfy it.
+type Figure interface {
+	String() string
+	CSV() string
+}
+
 // ExperimentSpec declares one experiment of the paper's evaluation.
 type ExperimentSpec struct {
 	// Name is the canonical experiment name ("fig7", "table2", ...).
@@ -59,29 +67,47 @@ type ExperimentSpec struct {
 	// after. Like Plan it executes nothing; key sets may vary with
 	// opts (scale changes the grid) but names never do.
 	Artifacts func(opts Options) []Artifact
-	// Render produces one declared artifact from planned-job results,
-	// looked up by job key. It performs no simulation work, so a
-	// coordinator whose cache holds an artifact's key set renders it
-	// without computing anything — and a stream renders it the moment
-	// the last of those keys settles.
-	Render func(opts Options, artifact string, rs *ResultSet) (string, error)
+	// Render produces one declared artifact's figures, in report
+	// order, from planned-job results looked up by job key. It performs
+	// no simulation work, so a coordinator whose cache holds an
+	// artifact's key set renders it without computing anything — and a
+	// stream renders it the moment the last of those keys settles.
+	Render func(opts Options, artifact string, rs *ResultSet) ([]Figure, error)
 }
 
 // Report renders the spec's full printable report: every declared
-// artifact, rendered in declaration order and concatenated. This is
-// the legacy monolithic entry point the batch paths still call — the
-// golden tests pin that a streamed run's artifacts reassemble to
-// exactly these bytes.
+// artifact's text, in declaration order. The golden tests pin that a
+// streamed run's artifacts reassemble to exactly these bytes.
 func (s ExperimentSpec) Report(opts Options, rs *ResultSet) (string, error) {
 	var b strings.Builder
 	for _, a := range s.Artifacts(opts) {
-		out, err := s.Render(opts, a.Name, rs)
+		figs, err := s.Render(opts, a.Name, rs)
 		if err != nil {
 			return "", err
 		}
-		b.WriteString(out)
+		b.WriteString(reportText(figs))
 	}
 	return b.String(), nil
+}
+
+// reportText renders figures as report text, one per line — the one
+// text form behind batch reports, streamed artifacts and the daemon's
+// artifact endpoint.
+func reportText(figs []Figure) string {
+	var b strings.Builder
+	for _, f := range figs {
+		b.WriteString(f.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// figures wraps a builder's single figure (or its error) as a render.
+func figures[F Figure](f F, err error) ([]Figure, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []Figure{f}, nil
 }
 
 // ArtifactNames lists the spec's artifact names in declaration order.
@@ -114,10 +140,10 @@ func LookupArtifact(name string) (ExperimentSpec, bool) {
 // singleArtifact wires the Artifacts/Render pair for the common
 // one-artifact spec: the artifact carries the spec's name, keys
 // enumerates its job keys at the given options (nil for static
-// tables), renderOne produces the report body.
+// tables), renderOne produces its figures.
 func singleArtifact(name string, keys func(opts Options) []string,
-	renderOne func(opts Options, rs *ResultSet) (string, error)) (
-	func(Options) []Artifact, func(Options, string, *ResultSet) (string, error)) {
+	renderOne func(opts Options, rs *ResultSet) ([]Figure, error)) (
+	func(Options) []Artifact, func(Options, string, *ResultSet) ([]Figure, error)) {
 	artifacts := func(opts Options) []Artifact {
 		var ks []string
 		if keys != nil {
@@ -125,9 +151,9 @@ func singleArtifact(name string, keys func(opts Options) []string,
 		}
 		return []Artifact{{Name: name, Keys: ks}}
 	}
-	renderFn := func(opts Options, artifact string, rs *ResultSet) (string, error) {
+	renderFn := func(opts Options, artifact string, rs *ResultSet) ([]Figure, error) {
 		if artifact != name {
-			return "", fmt.Errorf("%s: unknown artifact %q", name, artifact)
+			return nil, fmt.Errorf("%s: unknown artifact %q", name, artifact)
 		}
 		return renderOne(opts, rs)
 	}
@@ -241,41 +267,36 @@ func StandaloneExperiments() []string {
 	return out
 }
 
-// render concatenates printable report items, one per line — the
-// report emission shape shared by every experiment.
-func render(items ...fmt.Stringer) string {
-	var b strings.Builder
-	for _, it := range items {
-		b.WriteString(it.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // runPlan executes planned jobs on the harness runner (parallelism,
 // shared pool, cache and flight hooks all via opts), logs the batch's
 // accounting under label, and indexes the results for the report
 // phase. Per-job failures are folded into the returned error against
-// their keys without discarding siblings. This is the one execute step
-// shared by runSpec and the exported legacy wrappers.
+// their keys without discarding siblings.
 func runPlan(opts Options, label string, specs []SimJob) (*ResultSet, error) {
 	results := runner.RunJobs(runner.SimJobs(specs), opts.runnerOpts())
 	opts.log("%s: %s", label, runner.Summarize(results))
 	return newResultSet(results), collectErrs(results)
 }
 
+// executeSpec plans a spec's jobs and runs them; static tables plan
+// none and get an empty result set.
+func executeSpec(spec ExperimentSpec, opts Options) (*ResultSet, error) {
+	if spec.Plan == nil {
+		return &ResultSet{}, nil
+	}
+	jobs, err := spec.Plan(opts)
+	if err != nil {
+		return nil, err
+	}
+	return runPlan(opts, spec.Name, jobs)
+}
+
 // runSpec is the single plan -> execute -> report path every
 // experiment runs through.
 func runSpec(spec ExperimentSpec, opts Options) (string, error) {
-	rs := &ResultSet{}
-	if spec.Plan != nil {
-		jobs, err := spec.Plan(opts)
-		if err != nil {
-			return "", err
-		}
-		if rs, err = runPlan(opts, spec.Name, jobs); err != nil {
-			return "", err
-		}
+	rs, err := executeSpec(spec, opts)
+	if err != nil {
+		return "", err
 	}
 	return spec.Report(opts, rs)
 }
@@ -316,8 +337,10 @@ func RunExperiment(name string, opts Options) (string, error) {
 // overlap on (the Naive baselines) only once. Per-experiment timing is
 // collected unconditionally and returned; timed, when non-nil,
 // additionally observes each experiment as it finishes (in emission
-// order). A failed experiment is reported against its name without
-// aborting the others. RunAll resolves every experiment through the
+// order). A nil emit executes the suite without rendering reports (a
+// streaming run renders artifacts as they settle instead). A failed
+// experiment is reported against its name without aborting the
+// others. RunAll resolves every experiment through the
 // registry — the same table RunExperiment dispatches on — and is the
 // single "all" orchestration shared by RunExperiment("all") and
 // cmd/pimbench.
@@ -359,8 +382,14 @@ func RunAll(opts Options, emit func(name, report string), timed func(name string
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now()
-			rep, err := runSpec(spec, opts)
-			outs[i] = outcome{report: rep, err: err, wall: time.Since(start)}
+			var o outcome
+			if emit != nil {
+				o.report, o.err = runSpec(spec, opts)
+			} else {
+				_, o.err = executeSpec(spec, opts)
+			}
+			o.wall = time.Since(start)
+			outs[i] = o
 		}(i, spec)
 	}
 
@@ -378,7 +407,9 @@ func RunAll(opts Options, emit func(name, report string), timed func(name string
 			errs = append(errs, fmt.Errorf("%s: %w", spec.Name, outs[i].err))
 			continue
 		}
-		emit(spec.Name, outs[i].report)
+		if emit != nil {
+			emit(spec.Name, outs[i].report)
+		}
 	}
 	return timings, errors.Join(errs...)
 }

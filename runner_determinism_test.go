@@ -12,18 +12,19 @@ import (
 )
 
 // TestRunnerDeterminism runs the same ScaleBench YCSB sweep sequentially
-// and on 8 workers and requires identical RunRecord sequences: same
+// and on 8 workers and requires identical runRecord sequences: same
 // order, same cycles, same stats.
 func TestRunnerDeterminism(t *testing.T) {
 	models := []Model{Naive, SWFlush, Scope}
-	seq, err := YCSBSweep(Options{Scale: ScaleBench, Parallelism: 1}, models, nil)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(parallelism int) []runRecord {
+		opts := Options{Scale: ScaleBench, Parallelism: parallelism}
+		rs, err := runPlan(opts, "ycsb sweep", planYCSB(opts, "ycsb", models, nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gridRecords(ycsbGrid(opts, "ycsb", models, nil), rs)
 	}
-	par, err := YCSBSweep(Options{Scale: ScaleBench, Parallelism: 8}, models, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := sweep(1), sweep(8)
 	if len(seq) == 0 || len(seq) != len(par) {
 		t.Fatalf("record counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -96,13 +97,13 @@ func TestRunnerErrorKeepsSiblings(t *testing.T) {
 // TestNormalizeToNaiveMissingBaseline: a sweep without a (successful)
 // Naive point must fail loudly instead of emitting +Inf ratios.
 func TestNormalizeToNaiveMissingBaseline(t *testing.T) {
-	recs := []RunRecord{
+	recs := []runRecord{
 		{Model: Scope, Records: 1000, Result: Result{Cycles: 42}},
 	}
 	if _, err := normalizeToNaive(recs); err == nil {
 		t.Fatal("expected error for sweep without Naive baseline")
 	}
-	recs = append(recs, RunRecord{Model: Naive, Records: 1000, Result: Result{Cycles: 84}})
+	recs = append(recs, runRecord{Model: Naive, Records: 1000, Result: Result{Cycles: 84}})
 	norm, err := normalizeToNaive(recs)
 	if err != nil {
 		t.Fatal(err)

@@ -427,11 +427,11 @@ func (s *Server) artifactStatus(name string, req serve.JobRequest) (serve.Artifa
 	}
 	st.Ready = st.Settled == st.Keys
 	if st.Ready {
-		out, err := spec.Render(opts, n, rs)
+		figs, err := spec.Render(opts, n, rs)
 		if err != nil {
 			return serve.ArtifactStatus{}, fmt.Errorf("render %s: %w", n, err)
 		}
-		st.Output = out
+		st.Output = reportText(figs)
 	}
 	return st, nil
 }

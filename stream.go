@@ -12,6 +12,7 @@ package bulkpim
 // accepts a Stream hook for the fleet path (coordinate.go).
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -19,14 +20,15 @@ import (
 )
 
 // StreamEmit is one streamed artifact emission: the artifact's
-// rendered output (or its render error) the instant its last planned
-// job settled. Seq numbers emissions in settle order across the whole
+// figures and their report text (or its render error) the instant its
+// last planned job settled. Seq numbers emissions in settle order across the whole
 // stream, starting at 0 — the order artifacts became ready, which
 // varies run to run, unlike the canonical order an assembler writes.
 type StreamEmit struct {
 	Experiment string
 	Artifact   string
 	Seq        int
+	Figures    []Figure
 	Output     string
 	Err        error
 }
@@ -140,9 +142,9 @@ func (s *ReportStream) Settle(key string, r Result, jobErr error) {
 // finish renders and emits one completed artifact; callers hold s.mu.
 func (s *ReportStream) finish(sa *streamArtifact) {
 	sa.done = true
-	out, err := sa.spec.Render(s.opts, sa.name, s.rs)
+	figs, err := sa.spec.Render(s.opts, sa.name, s.rs)
 	s.emit(StreamEmit{Experiment: sa.spec.Name, Artifact: sa.name,
-		Seq: s.seq, Output: out, Err: err})
+		Seq: s.seq, Figures: figs, Output: reportText(figs), Err: err})
 	s.seq++
 	s.pending--
 }
@@ -253,14 +255,19 @@ func (a *StreamAssembler) Err() error {
 // artifacts' bytes in canonical report order, incrementally — for a
 // fully-successful run, exactly the bytes RunExperiment(name) would
 // return. Timings are the per-experiment walls for "all" runs, nil
-// otherwise.
+// otherwise. The run executes each planned job once and renders each
+// artifact once; a render error is returned when no job failed.
 func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer) ([]ExperimentTiming, error) {
 	asm, err := NewStreamAssembler(name, w)
 	if err != nil {
 		return nil, err
 	}
+	var renderErrs []error // appended under the stream's emission lock
 	observe := func(e StreamEmit) {
 		asm.Observe(e)
+		if e.Err != nil {
+			renderErrs = append(renderErrs, fmt.Errorf("%s: %w", e.Experiment, e.Err))
+		}
 		if emit != nil {
 			emit(e)
 		}
@@ -274,15 +281,18 @@ func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer)
 	var timings []ExperimentTiming
 	var runErr error
 	if strings.ToLower(name) == "all" {
-		// The assembler already carries every report; discard RunAll's
-		// batch emissions and keep only its timing/error accounting.
-		timings, runErr = RunAll(opts, func(string, string) {}, nil)
+		// The assembler already carries every report; RunAll only
+		// executes and keeps its timing/error accounting.
+		timings, runErr = RunAll(opts, nil, nil)
 	} else {
 		spec, _ := LookupExperiment(name)
-		_, runErr = runSpec(spec, opts)
+		_, runErr = executeSpec(spec, opts)
 	}
 	if werr := asm.Err(); werr != nil {
 		return timings, fmt.Errorf("stream write: %w", werr)
+	}
+	if runErr == nil {
+		runErr = errors.Join(renderErrs...)
 	}
 	return timings, runErr
 }
