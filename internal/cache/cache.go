@@ -16,6 +16,7 @@
 package cache
 
 import (
+	"bulkpim/internal/core"
 	"bulkpim/internal/mem"
 )
 
@@ -96,21 +97,20 @@ func (c *setAssoc) set(idx int) []Line {
 // Lookup returns the line if present, refreshing LRU.
 func (c *setAssoc) Lookup(l mem.LineAddr) *Line {
 	c.clock++
-	for i, ln := range c.set(c.SetOf(l)) {
-		if ln.valid && ln.Addr == l {
-			p := &c.set(c.SetOf(l))[i]
-			p.used = c.clock
-			return p
-		}
+	p := c.Peek(l)
+	if p != nil {
+		p.used = c.clock
 	}
-	return nil
+	return p
 }
 
-// Peek returns the line without touching LRU.
+// Peek returns the line without touching LRU. Ways are probed in place:
+// ranging the set by value would copy a whole Line per way.
 func (c *setAssoc) Peek(l mem.LineAddr) *Line {
-	for i, ln := range c.set(c.SetOf(l)) {
-		if ln.valid && ln.Addr == l {
-			return &c.set(c.SetOf(l))[i]
+	set := c.set(c.SetOf(l))
+	for i := range set {
+		if p := &set[i]; p.valid && p.Addr == l {
+			return p
 		}
 	}
 	return nil
@@ -132,20 +132,28 @@ func (c *setAssoc) Victim(l mem.LineAddr) *Line {
 	return victim
 }
 
-// Install places a line into slot v (which the caller has vacated).
+// Install places a line into slot v (which the caller has vacated),
+// resetting every field in place rather than copying in a fresh Line.
 func (c *setAssoc) Install(v *Line, l mem.LineAddr, state MESI) {
 	c.clock++
-	*v = Line{Addr: l, State: state, Owner: -1, used: c.clock, valid: true}
+	v.Addr, v.State = l, state
+	v.Dirty, v.PIMEnabled, v.Scope = false, false, 0
+	v.Data, v.Writer = nil, 0
+	v.Sharers, v.Owner = 0, -1
+	v.used, v.valid = c.clock, true
 }
 
-// ForEachInSet visits valid lines of one set.
-func (c *setAssoc) ForEachInSet(idx int, fn func(*Line)) {
-	set := c.set(idx)
-	for i := range set {
-		if set[i].valid {
-			fn(&set[i])
-		}
+// scanNext returns the first set at or after s that a scope scan must
+// visit, or -1: every set without an SBV, else only the sets whose SBV bit
+// is high, found a word of 64 sets at a time.
+func scanNext(sbv *core.SBV, sets, s int) int {
+	if sbv != nil {
+		return sbv.Next(s)
 	}
+	if s < sets {
+		return s
+	}
+	return -1
 }
 
 // Invalidate clears a line slot.

@@ -30,7 +30,7 @@ type L1 struct {
 	SB  *core.ScopeBuffer
 	SBV *core.SBV
 
-	mshr     map[mem.LineAddr]*l1Miss
+	mshr     *mem.LineTable[l1Miss]
 	missFree []*l1Miss
 
 	// deliverW/deliverX are reusable snapshots for waiter delivery:
@@ -68,7 +68,7 @@ func NewL1(k *sim.Kernel, coreID, sets, ways int, hitLatency sim.Tick) *L1 {
 		arr:        newSetAssoc(sets, ways),
 		HitLatency: hitLatency,
 		Pool:       mem.NewRequestPool(),
-		mshr:       make(map[mem.LineAddr]*l1Miss),
+		mshr:       mem.NewLineTable[l1Miss](),
 	}
 	c.recvFn = func(x any) { c.llc.Receive(x.(*mem.Request)) }
 	c.fwdFn = func(x any) { c.up.SendOrderedCtx(c.recvFn, x) }
@@ -147,7 +147,7 @@ func (c *L1) HasLine(l mem.LineAddr) bool { return c.arr.Peek(l).Valid() }
 func (c *L1) RequestLine(req *mem.Request, done FillWaiter, exclDone ExclWaiter) {
 	c.Misses.Inc()
 	l := req.Line
-	if e, ok := c.mshr[l]; ok {
+	if e := c.mshr.Get(l); e != nil {
 		if done.Fn != nil {
 			e.waiters = append(e.waiters, done)
 		}
@@ -165,7 +165,7 @@ func (c *L1) RequestLine(req *mem.Request, done FillWaiter, exclDone ExclWaiter)
 	if exclDone.Fn != nil {
 		e.exclWaiters = append(e.exclWaiters, exclDone)
 	}
-	c.mshr[l] = e
+	c.mshr.Set(l, e)
 	c.sendMiss(req)
 }
 
@@ -187,7 +187,7 @@ func (c *L1) ForwardPIM(req *mem.Request) {
 // to waiters without installing. data is the sender's buffer and is only
 // read during the call.
 func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEnabled bool, scope mem.ScopeID, noCache bool) {
-	e := c.mshr[l]
+	e := c.mshr.Get(l)
 	if e == nil {
 		// Unsolicited fill (possible after local stale handling); drop.
 		return
@@ -212,7 +212,7 @@ func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEna
 		ln := c.arr.Peek(l)
 		if ln.Valid() && (ln.State == Exclusive || ln.State == Modified) {
 			c.deliverX = append(c.deliverX[:0], e.exclWaiters...)
-			delete(c.mshr, l)
+			c.mshr.Delete(l)
 			c.putMiss(e)
 			for _, w := range c.deliverX {
 				w.Fn(w.Ctx)
@@ -227,7 +227,7 @@ func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEna
 		c.sendMiss(r)
 		return
 	}
-	delete(c.mshr, l)
+	c.mshr.Delete(l)
 	c.putMiss(e)
 }
 
@@ -312,10 +312,7 @@ func (c *L1) ScanFlushScope(scope mem.ScopeID) (setsScanned, flushed int) {
 		c.markStale(scope)
 		return 0, 0
 	}
-	for s := 0; s < c.arr.sets; s++ {
-		if c.SBV != nil && !c.SBV.Test(s) {
-			continue
-		}
+	for s := scanNext(c.SBV, c.arr.sets, 0); s >= 0; s = scanNext(c.SBV, c.arr.sets, s+1) {
 		setsScanned++
 		c.victims = c.victims[:0]
 		set := c.arr.set(s)
@@ -337,8 +334,11 @@ func (c *L1) ScanFlushScope(scope mem.ScopeID) (setsScanned, flushed int) {
 }
 
 func (c *L1) markStale(scope mem.ScopeID) {
-	for l, e := range c.mshr {
-		if c.llc != nil && c.llc.Scopes != nil && c.llc.Scopes.ScopeOf(l.Addr()) == scope {
+	if c.llc == nil || c.llc.Scopes == nil {
+		return
+	}
+	for i := 0; i < c.mshr.Slots(); i++ {
+		if l, e := c.mshr.Slot(i); e != nil && c.llc.Scopes.ScopeOf(l.Addr()) == scope {
 			e.stale = true
 		}
 	}
@@ -348,4 +348,4 @@ func (c *L1) markStale(scope mem.ScopeID) {
 func (c *L1) LineCount() int { return c.arr.CountValid() }
 
 // MSHRLen reports outstanding misses (deadlock diagnostics).
-func (c *L1) MSHRLen() int { return len(c.mshr) }
+func (c *L1) MSHRLen() int { return c.mshr.Len() }

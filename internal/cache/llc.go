@@ -51,7 +51,7 @@ type LLC struct {
 	busyUntil     sim.Tick
 	wakeScheduled bool
 
-	mshr     map[mem.LineAddr]*llcMiss
+	mshr     *mem.LineTable[llcMiss]
 	missFree []*llcMiss
 	fillFree []*fillMsg
 
@@ -135,7 +135,7 @@ func NewLLC(k *sim.Kernel, model core.Model, sets, ways int, hitLatency sim.Tick
 		ScanPerLine: 2,
 		Scopes:      scopes,
 		Pool:        mem.NewRequestPool(),
-		mshr:        make(map[mem.LineAddr]*llcMiss),
+		mshr:        mem.NewLineTable[llcMiss](),
 	}
 	if model.FlushesLLCOnPIMOp() {
 		l.SB = core.NewScopeBuffer(64, 4)
@@ -330,10 +330,10 @@ func (l *LLC) handleMiss(req *mem.Request) sim.Tick {
 		return cost
 	}
 	l.Misses.Inc()
-	e := l.mshr[req.Line]
+	e := l.mshr.Get(req.Line)
 	if e == nil {
 		e = l.getMiss()
-		l.mshr[req.Line] = e
+		l.mshr.Set(req.Line, e)
 	}
 	e.waiters = append(e.waiters, req)
 	if !e.issued {
@@ -354,7 +354,7 @@ func (l *LLC) issueMemoryFetch(line mem.LineAddr, scope mem.ScopeID) {
 // fillArrived installs a memory fill and serves the waiters. The caller
 // releases fetch afterwards.
 func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
-	e := l.mshr[fetch.Line]
+	e := l.mshr.Get(fetch.Line)
 	if e == nil {
 		return l.HitLatency
 	}
@@ -382,11 +382,11 @@ func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
 			l.issueMemoryFetch(fetch.Line, fetch.Scope)
 			return l.HitLatency
 		}
-		delete(l.mshr, fetch.Line)
+		l.mshr.Delete(fetch.Line)
 		l.putMiss(e)
 		return l.HitLatency
 	}
-	delete(l.mshr, fetch.Line)
+	l.mshr.Delete(fetch.Line)
 	v := l.arr.Peek(fetch.Line)
 	if v.Valid() {
 		// The line reappeared (e.g. installed by a racing writeback path);
@@ -610,10 +610,7 @@ func (l *LLC) handleScopeFence(req *mem.Request) sim.Tick {
 func (l *LLC) scanFlush(scope mem.ScopeID) sim.Tick {
 	l.Scans.Inc()
 	scanned, flushed := 0, 0
-	for s := 0; s < l.arr.sets; s++ {
-		if l.SBV != nil && !l.SBV.Test(s) {
-			continue
-		}
+	for s := scanNext(l.SBV, l.arr.sets, 0); s >= 0; s = scanNext(l.SBV, l.arr.sets, s+1) {
 		scanned++
 		l.victims = l.victims[:0]
 		set := l.arr.set(s)
@@ -638,8 +635,8 @@ func (l *LLC) scanFlush(scope mem.ScopeID) sim.Tick {
 // markStaleMisses flags outstanding misses of the scope so their fills do
 // not resurrect flushed lines (see fillArrived).
 func (l *LLC) markStaleMisses(scope mem.ScopeID) {
-	for line, e := range l.mshr {
-		if l.Scopes.ScopeOf(line.Addr()) == scope {
+	for i := 0; i < l.mshr.Slots(); i++ {
+		if line, e := l.mshr.Slot(i); e != nil && l.Scopes.ScopeOf(line.Addr()) == scope {
 			e.stale = true
 		}
 	}

@@ -1,11 +1,15 @@
 package cache
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"bulkpim/internal/core"
 	"bulkpim/internal/mem"
 	"bulkpim/internal/sim"
+	"bulkpim/internal/trace"
 )
 
 // Randomized mixes of loads, stores, PIM scans, flushes and fences must
@@ -141,6 +145,77 @@ func TestEgressOrderUnderPressure(t *testing.T) {
 	for i, n := range order {
 		if n != string(rune('a'+i)) {
 			t.Fatalf("same-scope PIM ops reordered: %v", order)
+		}
+	}
+}
+
+// A scan visits exactly the sets the SBV marks: the sets it reports
+// scanning equal the SBV's PopCount() just before it, which equals the
+// sets holding a PIM-enabled line, so the skip-ratio sample is the SBV's
+// own SkipRatio(). Holds for the LLC and for the L1s' scope-fence scans.
+func TestSBVScanVisitsPopCountSets(t *testing.T) {
+	r := newRig(t, core.ScopeRelaxed, 2)
+	var tr strings.Builder
+	r.llc.Tracer = trace.New(r.k.Now, &tr, 1<<trace.CatCache, 0)
+	rng := sim.NewRand(13)
+	pimSets := func(arr *setAssoc) int {
+		n := 0
+		for s := 0; s < arr.sets; s++ {
+			set := arr.set(s)
+			for i := range set {
+				if set[i].valid && set[i].PIMEnabled {
+					n++
+					break
+				}
+			}
+		}
+		return n
+	}
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 6; i++ {
+			scope := mem.ScopeID(rng.Intn(4))
+			line := mem.LineOf(r.scopes.ScopeBase(scope) + mem.Addr(rng.Intn(64)*mem.LineSize))
+			r.loadVia(t, rng.Intn(2), line)
+		}
+		scope := mem.ScopeID(rng.Intn(4))
+		l1 := r.l1s[rng.Intn(2)]
+		if pop, want := l1.SBV.PopCount(), pimSets(&l1.arr); pop != want {
+			t.Fatalf("round %d: L1 SBV PopCount %d, sets holding PIM lines %d", round, pop, want)
+		}
+		if l1.SB.Lookup(scope) {
+			l1.SB.Invalidate(scope) // force a real scan
+		}
+		pop := l1.SBV.PopCount()
+		if scanned, _ := l1.ScanFlushScope(scope); scanned != pop {
+			t.Fatalf("round %d: L1 scan visited %d sets, SBV PopCount %d", round, scanned, pop)
+		}
+
+		pop = r.llc.SBV.PopCount()
+		if want := pimSets(&r.llc.arr); pop != want {
+			t.Fatalf("round %d: LLC SBV PopCount %d, sets holding PIM lines %d", round, pop, want)
+		}
+		if r.llc.SB.Lookup(scope) {
+			r.llc.SB.Invalidate(scope)
+		}
+		skip := r.llc.SBV.SkipRatio()
+		tr.Reset()
+		before := r.llc.SkipRatio.Sum()
+		r.llc.Receive(pimReq(scope))
+		if _, err := r.k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var gotScope mem.ScopeID
+		var scanned, flushed int
+		line := tr.String()
+		line = line[strings.Index(line, "scan "):]
+		if _, err := fmt.Sscanf(line, "scan scope=%d sets=%d flushed=%d", &gotScope, &scanned, &flushed); err != nil {
+			t.Fatalf("round %d: no scan trace in %q: %v", round, tr.String(), err)
+		}
+		if scanned != pop {
+			t.Fatalf("round %d: LLC scan visited %d sets, SBV PopCount %d", round, scanned, pop)
+		}
+		if got := r.llc.SkipRatio.Sum() - before; math.Abs(got-skip) > 1e-12 {
+			t.Fatalf("round %d: skip-ratio sample %v, SBV SkipRatio %v", round, got, skip)
 		}
 	}
 }

@@ -70,13 +70,16 @@ type Controller struct {
 	qHead, qTail *entry
 	queueLen     int
 
-	// Dependency indexes: the youngest queued entry per line and per
-	// scope. Together with the per-entry linePrev/scopePrev links they
-	// answer "does an earlier conflicting entry exist" in O(1) — an
-	// entry is its line's (or scope's) oldest exactly when its prev
-	// pointer is nil.
-	lineTail  map[mem.LineAddr]*entry
-	scopeTail map[mem.ScopeID]*entry
+	// Dependency indexes: the youngest queued entry per line and the
+	// oldest and youngest per scope. Together with the per-entry
+	// linePrev/scopePrev links they answer "does an earlier conflicting
+	// entry exist" in O(1) — an entry is its line's (or scope's) oldest
+	// exactly when its prev pointer is nil. Per-scope state lives in
+	// dense slices indexed by ScopeID+1 (slot 0 is NoScope), grown on
+	// first use; see scopeSlot.
+	lineTail  *mem.LineTable[entry]
+	scopeHead []*entry
+	scopeTail []*entry
 
 	// ready holds conflict-free waiting entries as a min-heap on seq, so
 	// a scheduling pass visits only issuable work, in arrival order.
@@ -104,9 +107,9 @@ type Controller struct {
 	// the reference conflict scan.
 	onPass func()
 
-	// outstanding per-scope PIM ops, in acceptance order, from
-	// acceptance until PIM-module completion.
-	pimBySeq map[mem.ScopeID][]pimRef
+	// outstanding per-scope PIM ops (indexed by ScopeID+1), in
+	// acceptance order, from acceptance until PIM-module completion.
+	pimBySeq [][]pimRef
 
 	// entryFree recycles retired entries; finishFn and schedFn are the
 	// once-built event callbacks (ctx = *entry / nil), so steady-state
@@ -169,9 +172,7 @@ func New(k *sim.Kernel, module *pim.Module, backing *mem.Backing) *Controller {
 		BankBusy:    40,
 		Backing:     backing,
 		Pool:        mem.NewRequestPool(),
-		lineTail:    make(map[mem.LineAddr]*entry),
-		scopeTail:   make(map[mem.ScopeID]*entry),
-		pimBySeq:    make(map[mem.ScopeID][]pimRef),
+		lineTail:    mem.NewLineTable[entry](),
 	}
 	c.bankFree = make([]sim.Tick, c.Banks)
 	c.finishFn = func(ctx any) { c.finishDRAM(ctx.(*entry)) }
@@ -210,6 +211,28 @@ func (c *Controller) moduleFor(s mem.ScopeID) *pim.Module {
 	return c.PIMs[int(uint64(s)%uint64(len(c.PIMs)))]
 }
 
+// scopeSlot returns the index of scope s in the per-scope slices,
+// growing them to cover it.
+func (c *Controller) scopeSlot(s mem.ScopeID) int {
+	i := int(s) + 1
+	if i >= len(c.scopeTail) {
+		n := i + 1 - len(c.scopeTail)
+		c.scopeHead = append(c.scopeHead, make([]*entry, n)...)
+		c.scopeTail = append(c.scopeTail, make([]*entry, n)...)
+		c.pimBySeq = append(c.pimBySeq, make([][]pimRef, n)...)
+	}
+	return i
+}
+
+// outstandingPIM returns the accepted, not yet completed PIM ops of
+// scope s in acceptance order.
+func (c *Controller) outstandingPIM(s mem.ScopeID) []pimRef {
+	if i := int(s) + 1; i < len(c.pimBySeq) {
+		return c.pimBySeq[i]
+	}
+	return nil
+}
+
 // QueueLen returns the number of queued (unfinished) entries.
 func (c *Controller) QueueLen() int { return c.queueLen }
 
@@ -229,7 +252,8 @@ func (c *Controller) Enqueue(req *mem.Request) bool {
 	e := c.getEntry(req, c.seq)
 	c.link(e)
 	if req.Kind == mem.ReqPIMOp {
-		c.pimBySeq[req.Scope] = append(c.pimBySeq[req.Scope], pimRef{seq: e.seq, req: req})
+		i := c.scopeSlot(req.Scope)
+		c.pimBySeq[i] = append(c.pimBySeq[i], pimRef{seq: e.seq, req: req})
 	}
 	c.markReady(e)
 	if req.Kind == mem.ReqPIMOp && c.SendACK != nil {
@@ -251,17 +275,20 @@ func (c *Controller) link(e *entry) {
 	c.qTail = e
 	c.queueLen++
 
-	if t := c.lineTail[e.req.Line]; t != nil {
+	if t := c.lineTail.Get(e.req.Line); t != nil {
 		t.lineNext = e
 		e.linePrev = t
 	}
-	c.lineTail[e.req.Line] = e
+	c.lineTail.Set(e.req.Line, e)
 
-	if t := c.scopeTail[e.req.Scope]; t != nil {
+	i := c.scopeSlot(e.req.Scope)
+	if t := c.scopeTail[i]; t != nil {
 		t.scopeNext = e
 		e.scopePrev = t
+	} else {
+		c.scopeHead[i] = e
 	}
-	c.scopeTail[e.req.Scope] = e
+	c.scopeTail[i] = e
 }
 
 // unlink removes a finished entry (PIM op forwarded, DRAM access done)
@@ -287,21 +314,22 @@ func (c *Controller) unlink(e *entry) {
 	if e.lineNext != nil {
 		e.lineNext.linePrev = e.linePrev
 	} else if e.linePrev != nil {
-		c.lineTail[e.req.Line] = e.linePrev
+		c.lineTail.Set(e.req.Line, e.linePrev)
 	} else {
-		delete(c.lineTail, e.req.Line)
+		c.lineTail.Delete(e.req.Line)
 	}
 
+	si := int(e.req.Scope) + 1
 	scopeSucc, wasScopeHead := e.scopeNext, e.scopePrev == nil
 	if e.scopePrev != nil {
 		e.scopePrev.scopeNext = e.scopeNext
+	} else {
+		c.scopeHead[si] = e.scopeNext
 	}
 	if e.scopeNext != nil {
 		e.scopeNext.scopePrev = e.scopePrev
-	} else if e.scopePrev != nil {
-		c.scopeTail[e.req.Scope] = e.scopePrev
 	} else {
-		delete(c.scopeTail, e.req.Scope)
+		c.scopeTail[si] = e.scopePrev
 	}
 
 	e.qPrev, e.qNext = nil, nil
@@ -337,7 +365,7 @@ func (c *Controller) conflictFree(e *entry) bool {
 		return false
 	}
 	if e.req.Scope != mem.NoScope {
-		if refs := c.pimBySeq[e.req.Scope]; len(refs) > 0 && refs[0].seq < e.seq {
+		if refs := c.outstandingPIM(e.req.Scope); len(refs) > 0 && refs[0].seq < e.seq {
 			return false
 		}
 	}
@@ -477,7 +505,7 @@ func (c *Controller) finishDRAM(e *entry) {
 // from a foreign module implementation) clears exactly the op that
 // finished, leaving younger memops gated on the ops still outstanding.
 func (c *Controller) pimCompleted(req *mem.Request) {
-	refs := c.pimBySeq[req.Scope]
+	refs := c.outstandingPIM(req.Scope)
 	idx := -1
 	for i, r := range refs {
 		if r.req == req {
@@ -490,12 +518,11 @@ func (c *Controller) pimCompleted(req *mem.Request) {
 			req, req.Scope, len(refs)))
 	}
 	headCleared := idx == 0
-	refs = append(refs[:idx], refs[idx+1:]...)
-	if len(refs) == 0 {
-		delete(c.pimBySeq, req.Scope)
-	} else {
-		c.pimBySeq[req.Scope] = refs
-	}
+	last := len(refs) - 1
+	copy(refs[idx:], refs[idx+1:])
+	refs[last] = pimRef{} // the slice is reused: drop the stale request
+	refs = refs[:last]
+	c.pimBySeq[int(req.Scope)+1] = refs
 	if headCleared && !c.refSched {
 		// The oldest outstanding PIM seq moved up: memops accepted
 		// before the new head are no longer PIM-gated. They live on the
@@ -504,24 +531,12 @@ func (c *Controller) pimCompleted(req *mem.Request) {
 		if len(refs) > 0 {
 			stop = refs[0].seq
 		}
-		for en := c.scopeHead(req.Scope); en != nil && (stop == 0 || en.seq < stop); en = en.scopeNext {
+		for en := c.scopeHead[int(req.Scope)+1]; en != nil && (stop == 0 || en.seq < stop); en = en.scopeNext {
 			c.markReady(en)
 		}
 	}
 	req.Complete()
 	c.schedule()
-}
-
-// scopeHead returns the oldest queued entry of a scope, or nil.
-func (c *Controller) scopeHead(s mem.ScopeID) *entry {
-	t := c.scopeTail[s]
-	if t == nil {
-		return nil
-	}
-	for t.scopePrev != nil {
-		t = t.scopePrev
-	}
-	return t
 }
 
 // entryHeap is a binary min-heap of entries keyed by seq (arrival

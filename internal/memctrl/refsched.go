@@ -33,7 +33,7 @@ func (c *Controller) earlierConflictRef(e *entry) bool {
 	// Loads/stores/writebacks wait for (a) earlier same-scope PIM ops not
 	// yet completed by the PIM module, (b) earlier same-line accesses.
 	if e.req.Scope != mem.NoScope {
-		for _, r := range c.pimBySeq[e.req.Scope] {
+		for _, r := range c.outstandingPIM(e.req.Scope) {
 			if r.seq < e.seq {
 				return true
 			}

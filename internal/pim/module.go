@@ -37,11 +37,22 @@ type Module struct {
 	// Tracer, when enabled for CatPIM, logs op start and completion.
 	Tracer *trace.Tracer
 
-	buffer    []*mem.Request
-	executing map[mem.ScopeID]*mem.Request
-	// scopeSeen is uniqueScopes' reusable scratch set; completeFn the
-	// hoisted completion callback (both avoid per-op allocation).
-	scopeSeen  map[mem.ScopeID]struct{}
+	// scopes holds per-scope state at index ScopeID+1 (slot 0 is
+	// NoScope), grown on first use; buffered, executing and activeScopes
+	// are its running totals, so arrival statistics and start decisions
+	// are O(1) instead of walks over the buffer.
+	scopes       []scopeState
+	buffered     int
+	executing    int
+	activeScopes int // scopes with at least one buffered op
+	// freed is the scope whose op just completed, while hasFreed says
+	// its next op has not been started yet: completion callbacks may
+	// enqueue before complete's own start, and the freed scope's head is
+	// older than any such arrival, so it starts first.
+	freed    mem.ScopeID
+	hasFreed bool
+	// completeFn is the hoisted completion callback (avoids per-op
+	// allocation).
 	completeFn func(any)
 
 	// Stats (names match the figures they feed).
@@ -60,76 +71,134 @@ func NewModule(k *sim.Kernel, backing *mem.Backing) *Module {
 		BufferSize:       128,
 		CyclesPerMicroOp: 360, // ~100ns per array micro-op at 3.6GHz
 		FixedOpLatency:   720,
-		executing:        make(map[mem.ScopeID]*mem.Request),
-		scopeSeen:        make(map[mem.ScopeID]struct{}),
 	}
 	m.completeFn = func(x any) { m.complete(x.(*mem.Request)) }
 	return m
 }
 
+// scopeState is one scope's share of the module: the op occupying its
+// memory array, if any, and its buffered ops in arrival order.
+type scopeState struct {
+	running *mem.Request
+	queue   opQueue
+}
+
+// opQueue is a FIFO of buffered ops that reuses its backing array.
+type opQueue struct {
+	ops  []*mem.Request
+	head int
+}
+
+func (q *opQueue) len() int { return len(q.ops) - q.head }
+
+func (q *opQueue) push(r *mem.Request) {
+	if q.head > 0 && len(q.ops) == cap(q.ops) {
+		// Full with a consumed prefix: slide down instead of growing.
+		n := copy(q.ops, q.ops[q.head:])
+		clear(q.ops[n:])
+		q.ops, q.head = q.ops[:n], 0
+	}
+	q.ops = append(q.ops, r)
+}
+
+func (q *opQueue) pop() *mem.Request {
+	r := q.ops[q.head]
+	q.ops[q.head] = nil
+	q.head++
+	if q.head == len(q.ops) {
+		q.ops, q.head = q.ops[:0], 0
+	}
+	return r
+}
+
+// scope returns the state of s, growing the table on first use.
+func (m *Module) scope(s mem.ScopeID) *scopeState {
+	i := int(s) + 1
+	if i >= len(m.scopes) {
+		m.scopes = append(m.scopes, make([]scopeState, i+1-len(m.scopes))...)
+	}
+	return &m.scopes[i]
+}
+
 // ScopeBusy reports whether scope s is executing an op right now (the
-// memory array is occupied, §III).
+// memory array is occupied, §III). Scopes the module has never seen,
+// NoScope included, are idle.
 func (m *Module) ScopeBusy(s mem.ScopeID) bool {
-	_, busy := m.executing[s]
-	return busy
+	i := int(s) + 1
+	return i >= 0 && i < len(m.scopes) && m.scopes[i].running != nil
 }
 
 // BufferLen returns the number of buffered (not yet started) ops.
-func (m *Module) BufferLen() int { return len(m.buffer) }
+func (m *Module) BufferLen() int { return m.buffered }
 
 // InFlight returns buffered plus executing ops.
-func (m *Module) InFlight() int { return len(m.buffer) + len(m.executing) }
-
-// uniqueScopes counts distinct scopes in the buffer.
-func (m *Module) uniqueScopes() int {
-	clear(m.scopeSeen)
-	for _, r := range m.buffer {
-		m.scopeSeen[r.Scope] = struct{}{}
-	}
-	return len(m.scopeSeen)
-}
+func (m *Module) InFlight() int { return m.buffered + m.executing }
 
 // TryEnqueue accepts a PIM op into the buffer, or reports false when the
 // buffer is full. Arrival statistics are sampled before insertion, matching
 // the paper's "on PIM op arrival" measurements.
 func (m *Module) TryEnqueue(req *mem.Request) bool {
-	if m.BufferSize > 0 && len(m.buffer) >= m.BufferSize {
+	if m.BufferSize > 0 && m.buffered >= m.BufferSize {
 		return false
 	}
-	m.BufLenOnArrival.Observe(float64(len(m.buffer)))
-	m.UniqueScopesOnArr.Observe(float64(m.uniqueScopes()))
-	m.buffer = append(m.buffer, req)
-	if len(m.buffer) > m.PeakBuffer {
-		m.PeakBuffer = len(m.buffer)
+	m.BufLenOnArrival.Observe(float64(m.buffered))
+	m.UniqueScopesOnArr.Observe(float64(m.activeScopes))
+	st := m.scope(req.Scope)
+	if st.queue.len() == 0 {
+		m.activeScopes++
 	}
-	m.tryStart()
+	st.queue.push(req)
+	m.buffered++
+	if m.buffered > m.PeakBuffer {
+		m.PeakBuffer = m.buffered
+	}
+	m.tryStart(req.Scope)
 	return true
 }
 
-// tryStart launches the oldest buffered op of every idle scope.
-func (m *Module) tryStart() {
-	freed := false
-	kept := m.buffer[:0]
-	for _, req := range m.buffer {
-		if _, busy := m.executing[req.Scope]; busy {
-			kept = append(kept, req)
-			continue
-		}
-		m.executing[req.Scope] = req
-		freed = true
-		if m.Tracer.Enabled(trace.CatPIM) {
-			name := ""
-			if req.PIM != nil && req.PIM.Program != nil {
-				name = req.PIM.Program.Name
-			}
-			m.Tracer.Emit(trace.CatPIM, "pim", "start scope=%d op=%s buffered=%d", req.Scope, name, len(m.buffer))
-		}
-		m.k.ScheduleCtx(m.execLatency(req), m.completeFn, req)
+// tryStart launches the oldest buffered op of every idle scope. Every
+// other buffered op waits on a busy scope, so the only candidates are a
+// scope freed by a completion and s, the scope that just arrived or
+// completed; the freed scope's op is the older and starts first. The
+// trace reports the buffer length the pass started from.
+func (m *Module) tryStart(s mem.ScopeID) {
+	n := m.buffered
+	started := false
+	if m.hasFreed {
+		m.hasFreed = false
+		started = m.startHead(m.freed, n)
 	}
-	m.buffer = kept
-	if freed && m.OnSpace != nil {
+	if m.startHead(s, n) {
+		started = true
+	}
+	if started && m.OnSpace != nil {
 		m.OnSpace()
 	}
+}
+
+// startHead starts the oldest buffered op of scope s if s is idle.
+// buffered is the buffer length the trace reports.
+func (m *Module) startHead(s mem.ScopeID, buffered int) bool {
+	st := m.scope(s)
+	if st.running != nil || st.queue.len() == 0 {
+		return false
+	}
+	req := st.queue.pop()
+	if st.queue.len() == 0 {
+		m.activeScopes--
+	}
+	st.running = req
+	m.buffered--
+	m.executing++
+	if m.Tracer.Enabled(trace.CatPIM) {
+		name := ""
+		if req.PIM != nil && req.PIM.Program != nil {
+			name = req.PIM.Program.Name
+		}
+		m.Tracer.Emit(trace.CatPIM, "pim", "start scope=%d op=%s buffered=%d", req.Scope, name, buffered)
+	}
+	m.k.ScheduleCtx(m.execLatency(req), m.completeFn, req)
+	return true
 }
 
 func (m *Module) execLatency(req *mem.Request) sim.Tick {
@@ -152,9 +221,11 @@ func (m *Module) complete(req *mem.Request) {
 	}
 	m.ExecCycles.Observe(float64(m.execLatency(req)))
 	m.OpsExecuted.Inc()
-	delete(m.executing, req.Scope)
+	m.scope(req.Scope).running = nil
+	m.executing--
+	m.freed, m.hasFreed = req.Scope, true
 	if m.OnComplete != nil {
 		m.OnComplete(req)
 	}
-	m.tryStart()
+	m.tryStart(req.Scope)
 }

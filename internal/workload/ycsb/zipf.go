@@ -6,6 +6,8 @@ package ycsb
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
 	"bulkpim/internal/sim"
@@ -22,20 +24,60 @@ type Zipf struct {
 	eta        float64
 }
 
-// zetaCache memoizes the expensive zeta(n) sums across workload builds
-// (the harness builds the same record counts for every model).
-var zetaCache sync.Map // key: [2]float64{n, theta} -> float64
+// zetaCache memoizes zeta(n, theta) across workload builds (the harness
+// builds the same record counts for every model): for each theta, the
+// sums computed so far, ordered by n. A new n resumes from the longest
+// cached prefix below it. The terms are still added one by one from 1 to
+// n in the same order, so a resumed sum is bit-identical to a cold one.
+var zetaCache struct {
+	sync.Mutex
+	sums map[float64][]zetaSum
+}
 
-func zeta(n uint64, theta float64) float64 {
-	key := [2]float64{float64(n), theta}
-	if v, ok := zetaCache.Load(key); ok {
-		return v.(float64)
+type zetaSum struct {
+	n   uint64
+	sum float64
+}
+
+// zetaPrefix returns the largest cached n' <= n for theta with its sum,
+// or 0 and 0 when none is cached.
+func zetaPrefix(n uint64, theta float64) (uint64, float64) {
+	zetaCache.Lock()
+	defer zetaCache.Unlock()
+	sums := zetaCache.sums[theta]
+	i := sort.Search(len(sums), func(i int) bool { return sums[i].n > n })
+	if i == 0 {
+		return 0, 0
 	}
-	sum := 0.0
-	for i := uint64(1); i <= n; i++ {
+	return sums[i-1].n, sums[i-1].sum
+}
+
+// zetaStore caches sum as zeta(n, theta), keeping the list ordered.
+func zetaStore(n uint64, theta float64, sum float64) {
+	zetaCache.Lock()
+	defer zetaCache.Unlock()
+	if zetaCache.sums == nil {
+		zetaCache.sums = make(map[float64][]zetaSum)
+	}
+	sums := zetaCache.sums[theta]
+	i := sort.Search(len(sums), func(i int) bool { return sums[i].n >= n })
+	if i < len(sums) && sums[i].n == n {
+		return // a concurrent caller stored the same (identical) sum
+	}
+	zetaCache.sums[theta] = slices.Insert(sums, i, zetaSum{n, sum})
+}
+
+// zeta returns sum_{i=1..n} 1/i^theta. The sum is computed outside the
+// cache lock, so concurrent callers never wait on each other's sums.
+func zeta(n uint64, theta float64) float64 {
+	from, sum := zetaPrefix(n, theta)
+	if from == n {
+		return sum
+	}
+	for i := from + 1; i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
 	}
-	zetaCache.Store(key, sum)
+	zetaStore(n, theta, sum)
 	return sum
 }
 
