@@ -8,33 +8,82 @@ package mem
 // Backing also tracks, per line, the happens-before event ID of the last
 // writer (store drain, writeback, or PIM op). Caches propagate the writer ID
 // alongside line data so the consistency checker can build reads-from edges
-// (paper Fig. 1's cycle is detected this way).
+// (paper Fig. 1's cycle is detected this way). Writer IDs are kept per page
+// too, as a dense table of the page's 64 lines, allocated on the page's
+// first tracked write: timing-only runs (TrackWriters false) never
+// allocate one. The tables live apart from the bytes so that data pages
+// stay pointer-free and exactly one 4KB size class.
+//
+// A Backing is not safe for concurrent use: even reads update its
+// last-page caches.
 type Backing struct {
 	pages   map[uint64]*backPage
-	writers map[LineAddr]uint64
+	writers map[uint64]*writerPage // nil until the first tracked write
+	// One-entry caches of the last page used in each map: functional runs
+	// walk memory line by line, so consecutive accesses almost always hit
+	// the same page and skip the map lookup.
+	lastIdx, lastWIdx uint64
+	lastPage          *backPage
+	lastWriters       *writerPage
 	// TrackWriters enables reads-from bookkeeping (functional mode).
 	TrackWriters bool
 }
 
-const backPageSize = 4096
+const (
+	backPageSize = 4096
+	linesPerPage = backPageSize / LineSize
+)
 
-type backPage [backPageSize]byte
+type (
+	backPage   [backPageSize]byte
+	writerPage [linesPerPage]uint64
+)
 
-// NewBacking returns an empty sparse memory. The writers map is allocated
-// lazily on the first tracked write: timing-only runs (TrackWriters false)
-// never touch it.
+// NewBacking returns an empty sparse memory.
 func NewBacking() *Backing {
 	return &Backing{pages: make(map[uint64]*backPage)}
 }
 
 func (b *Backing) page(a Addr, create bool) (*backPage, uint64) {
 	idx := uint64(a) / backPageSize
+	off := uint64(a) % backPageSize
+	if b.lastPage != nil && b.lastIdx == idx {
+		return b.lastPage, off
+	}
 	p := b.pages[idx]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil, off
+		}
 		p = new(backPage)
 		b.pages[idx] = p
 	}
-	return p, uint64(a) % backPageSize
+	b.lastIdx, b.lastPage = idx, p
+	return p, off
+}
+
+// writerPage returns the writer table of the page holding line l and l's
+// slot in it; with create it allocates the table (and the map) on first
+// use.
+func (b *Backing) writerPage(l LineAddr, create bool) (*writerPage, uint64) {
+	idx := uint64(l) / backPageSize
+	slot := uint64(l) % backPageSize / LineSize
+	if b.lastWriters != nil && b.lastWIdx == idx {
+		return b.lastWriters, slot
+	}
+	w := b.writers[idx]
+	if w == nil {
+		if !create {
+			return nil, slot
+		}
+		if b.writers == nil {
+			b.writers = make(map[uint64]*writerPage)
+		}
+		w = new(writerPage)
+		b.writers[idx] = w
+	}
+	b.lastWIdx, b.lastWriters = idx, w
+	return w, slot
 }
 
 // Read copies n bytes at a into dst (zeros for unallocated memory).
@@ -47,9 +96,7 @@ func (b *Backing) Read(a Addr, dst []byte) {
 			n = len(dst)
 		}
 		if p == nil {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		} else {
 			copy(dst[:n], p[off:int(off)+n])
 		}
@@ -62,11 +109,7 @@ func (b *Backing) Read(a Addr, dst []byte) {
 func (b *Backing) Write(a Addr, src []byte) {
 	for len(src) > 0 {
 		p, off := b.page(a, true)
-		n := backPageSize - int(off)
-		if n > len(src) {
-			n = len(src)
-		}
-		copy(p[off:int(off)+n], src[:n])
+		n := copy(p[off:], src)
 		src = src[n:]
 		a += Addr(n)
 	}
@@ -112,10 +155,8 @@ func (b *Backing) SetByte(a Addr, v byte) {
 // TrackWriters).
 func (b *Backing) SetWriter(l LineAddr, ev uint64) {
 	if b.TrackWriters {
-		if b.writers == nil {
-			b.writers = make(map[LineAddr]uint64)
-		}
-		b.writers[l] = ev
+		w, slot := b.writerPage(l, true)
+		w[slot] = ev
 	}
 }
 
@@ -125,18 +166,27 @@ func (b *Backing) SetWriterRange(a Addr, n uint64, ev uint64) {
 	if !b.TrackWriters || n == 0 {
 		return
 	}
-	if b.writers == nil {
-		b.writers = make(map[LineAddr]uint64)
-	}
-	first := LineOf(a)
-	last := LineOf(a + Addr(n) - 1)
-	for l := first; l <= last; l += LineSize {
-		b.writers[l] = ev
+	l, last := LineOf(a), LineOf(a+Addr(n)-1)
+	for l <= last {
+		w, slot := b.writerPage(l, true)
+		for ; slot < linesPerPage && l <= last; slot++ {
+			w[slot] = ev
+			l += LineSize
+		}
 	}
 }
 
-// WriterOf returns the last writer event of line l (0 if unknown).
-func (b *Backing) WriterOf(l LineAddr) uint64 { return b.writers[l] }
+// WriterOf returns the last writer event of line l (0 if unknown or when
+// TrackWriters is off).
+func (b *Backing) WriterOf(l LineAddr) uint64 {
+	if !b.TrackWriters {
+		return 0
+	}
+	if w, slot := b.writerPage(l, false); w != nil {
+		return w[slot]
+	}
+	return 0
+}
 
 // PagesAllocated reports how many 4KB pages have been materialized.
 func (b *Backing) PagesAllocated() int { return len(b.pages) }

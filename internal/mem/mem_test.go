@@ -151,25 +151,40 @@ func TestBackingWriterTracking(t *testing.T) {
 	}
 }
 
-// The writers map is lazy: timing-only runs never allocate it, and either
-// SetWriter entry point materializes it on first tracked write.
+// Writer storage is lazy: timing-only runs never allocate a writer table
+// (nor a page for one), and either SetWriter entry point materializes one
+// on the first tracked write.
 func TestBackingWritersMapLazy(t *testing.T) {
 	b := NewBacking()
 	b.SetWriter(64, 7)
 	b.SetWriterRange(0, 128, 8)
+	if b.PagesAllocated() != 0 {
+		t.Fatal("untracked writer tags materialized a page")
+	}
+	b.Write(0, make([]byte, 2*backPageSize))
+	untracked := func() {
+		b.SetWriter(64, 7)
+		b.SetWriterRange(0, 2*backPageSize, 8)
+	}
+	if avg := testing.AllocsPerRun(10, untracked); avg != 0 {
+		t.Fatalf("untracked writer tags allocate %.1f objects, want 0", avg)
+	}
 	if b.writers != nil {
-		t.Fatal("untracked writes allocated the writers map")
+		t.Fatal("untracked writes allocated writer tables")
+	}
+	if b.WriterOf(64) != 0 {
+		t.Fatal("untracked write was recorded")
 	}
 	b.TrackWriters = true
 	b.SetWriterRange(0, 64, 3)
-	if b.WriterOf(0) != 3 {
-		t.Fatal("lazy map lost a tracked range write")
+	if b.WriterOf(0) != 3 || b.WriterOf(64) != 0 {
+		t.Fatal("lazy table lost a tracked range write")
 	}
 	c := NewBacking()
 	c.TrackWriters = true
 	c.SetWriter(64, 5)
 	if c.WriterOf(64) != 5 {
-		t.Fatal("lazy map lost a tracked write")
+		t.Fatal("lazy table lost a tracked write")
 	}
 }
 

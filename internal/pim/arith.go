@@ -172,15 +172,7 @@ func (img *ArrayImage) PopCountColumn(col, n int) (count int, microOps int) {
 	idx := byteOff
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		w := uint64(img.rows[idx]) |
-			uint64(img.rows[idx+mem.LineSize])<<8 |
-			uint64(img.rows[idx+2*mem.LineSize])<<16 |
-			uint64(img.rows[idx+3*mem.LineSize])<<24 |
-			uint64(img.rows[idx+4*mem.LineSize])<<32 |
-			uint64(img.rows[idx+5*mem.LineSize])<<40 |
-			uint64(img.rows[idx+6*mem.LineSize])<<48 |
-			uint64(img.rows[idx+7*mem.LineSize])<<56
-		count += bits.OnesCount64(w & mask)
+		count += bits.OnesCount64(img.gather8(idx) & mask)
 		idx += 8 * mem.LineSize
 	}
 	for ; i < n; i++ {

@@ -45,6 +45,71 @@ func (a *ArrayImage) LoadPlane(col int, dst []uint64) {
 	}
 }
 
+// LoadPlanes8 gathers the eight columns of byte column byteCol — columns
+// 8*byteCol .. 8*byteCol+7 — into dst[0..7] in one pass over the rows;
+// dst[j] receives what LoadPlane(8*byteCol+j, dst[j]) would. Each step
+// splices one byte of eight consecutive rows into a word and transposes
+// it as an 8x8 bit matrix, which turns "byte i = row i" into "byte j =
+// column j", so a multi-bit field costs one strided pass per byte rather
+// than one per bit.
+func (a *ArrayImage) LoadPlanes8(byteCol int, dst *[8][]uint64) {
+	rows := a.g.Rows
+	for w := range dst[0] {
+		base := w * 64
+		var acc [8]uint64
+		for g := 0; g < 8; g++ {
+			r := base + 8*g
+			if r >= rows {
+				break
+			}
+			idx := r*mem.LineSize + byteCol
+			var x uint64
+			if rows-r >= 8 {
+				x = a.gather8(idx)
+			} else {
+				for i := 0; i < rows-r; i++ { // last rows; the rest read as zero
+					x |= uint64(a.rows[idx+i*mem.LineSize]) << uint(8*i)
+				}
+			}
+			t := transpose8(x)
+			for j := range acc {
+				acc[j] |= (t >> uint(8*j) & 0xFF) << uint(8*g)
+			}
+		}
+		for j := range acc {
+			dst[j][w] = acc[j]
+		}
+	}
+}
+
+// gather8 splices the bytes at idx, idx+LineSize, ..., idx+7*LineSize —
+// one byte column of eight consecutive rows — into one word, row i in
+// byte i.
+func (a *ArrayImage) gather8(idx int) uint64 {
+	r := a.rows[idx : idx+7*mem.LineSize+1]
+	return uint64(r[0]) |
+		uint64(r[mem.LineSize])<<8 |
+		uint64(r[2*mem.LineSize])<<16 |
+		uint64(r[3*mem.LineSize])<<24 |
+		uint64(r[4*mem.LineSize])<<32 |
+		uint64(r[5*mem.LineSize])<<40 |
+		uint64(r[6*mem.LineSize])<<48 |
+		uint64(r[7*mem.LineSize])<<56
+}
+
+// transpose8 transposes the 8x8 bit matrix held in x, where bit 8*i+j is
+// element (i, j): afterwards bit 8*j+i holds it. Three delta swaps
+// exchange ever larger off-diagonal blocks (Hacker's Delight, 7-3).
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	x ^= t ^ t<<28
+	return x
+}
+
 // StorePlane scatters src back into column col and marks every row dirty —
 // a column write touches all rows, exactly like ColSet/ColOp.
 func (a *ArrayImage) StorePlane(col int, src []uint64) {
@@ -67,9 +132,7 @@ func (a *ArrayImage) StorePlane(col int, src []uint64) {
 			idx += mem.LineSize
 		}
 	}
-	for r := 0; r < rows; r++ {
-		a.dirty[r] = true
-	}
+	a.allDirty = true
 }
 
 // SetRowBits writes bits [0, n) of the packed words into columns [0, n) of

@@ -2,6 +2,7 @@ package pim
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"bulkpim/internal/mem"
 )
@@ -16,6 +17,9 @@ type ArrayImage struct {
 	array int
 	rows  []byte // Rows * LineSize, row-major
 	dirty []bool // per row
+	// allDirty is set by column writes, which touch every row; Store then
+	// writes the whole array back in one contiguous pass.
+	allDirty bool
 
 	planes [][]uint64 // reusable column bit-plane scratch (colview.go)
 	// planeRefs is MulFields' reusable operand/accumulator pointer table.
@@ -24,18 +28,40 @@ type ArrayImage struct {
 
 // LoadArray materializes array `array` of the scope at base from b.
 func LoadArray(b *mem.Backing, base mem.Addr, g Geometry, array int) *ArrayImage {
-	img := &ArrayImage{
-		g: g, base: base, array: array,
+	img := NewArrayImage(g, base)
+	img.Reload(b, array)
+	return img
+}
+
+// NewArrayImage returns an all-zero image of array 0 of the scope at base,
+// ready to Reload any of the scope's arrays.
+func NewArrayImage(g Geometry, base mem.Addr) *ArrayImage {
+	return &ArrayImage{
+		g: g, base: base,
 		rows:  make([]byte, g.Rows*mem.LineSize),
 		dirty: make([]bool, g.Rows),
 	}
-	b.Read(g.RowAddr(base, array, 0), img.rows)
-	return img
+}
+
+// Reload replaces the image with array `array` of the same scope, reusing
+// the row, dirty and plane buffers: a program that walks every array of a
+// scope loads them all through one image. Unstored changes are dropped.
+func (a *ArrayImage) Reload(b *mem.Backing, array int) {
+	a.array = array
+	clear(a.dirty)
+	a.allDirty = false
+	b.Read(a.g.RowAddr(a.base, array, 0), a.rows)
 }
 
 // Store writes modified rows back to b, tagging each written line with
 // writer for happens-before tracking.
 func (a *ArrayImage) Store(b *mem.Backing, writer uint64) {
+	if a.allDirty {
+		addr := a.g.RowAddr(a.base, a.array, 0)
+		b.Write(addr, a.rows)
+		b.SetWriterRange(addr, uint64(len(a.rows)), writer)
+		return
+	}
 	for r := 0; r < a.g.Rows; r++ {
 		if !a.dirty[r] {
 			continue
@@ -172,36 +198,31 @@ func (a *ArrayImage) TransposeColToRow(dst, src, n int) {
 // known at compile time each bit step specializes to about two column ops.
 // The returned micro-op count is what the timing model charges.
 // The running "greater" and "equal" flags stay in packed registers for the
-// whole bit walk — only the compared field's columns are gathered, and the
-// flag columns are scattered once at the end — so the comparator costs one
-// gather plus two word ops per bit per 64 rows. Charged micro-ops are
-// unchanged: the timing model still sees the bit-serial op sequence.
+// whole bit walk — only the compared field's byte columns are gathered, and
+// the flag columns are scattered once at the end — so the comparator costs
+// one gather per field byte plus two word ops per bit per 64 rows. Charged
+// micro-ops are unchanged: the timing model still sees the bit-serial op
+// sequence.
 func (a *ArrayImage) CmpConst(pred Predicate, fieldBase, width int, k uint64, dstCol, tmpGT, tmpEQ int) int {
 	micro := 0
-	gt, eq, x := a.plane(0), a.plane(1), a.plane(2)
+	gt, eq := a.plane(0), a.plane(1)
 	for w := range gt {
 		gt[w] = 0
 		eq[w] = ^uint64(0)
 	}
 	micro += 2
-	for b := 0; b < width; b++ {
-		col := fieldBase + b // bit b is the MSB-first position
-		kbit := k&(1<<uint(width-1-b)) != 0
-		a.LoadPlane(col, x)
-		if kbit {
-			// x_b=0 while still equal => x < k at this bit; gt unchanged;
-			// eq &= x_b.
-			for w := range eq {
-				eq[w] &= x[w]
-			}
-			micro++
-		} else {
-			// x_b=1 while still equal => x > k: gt |= eq & x_b; eq &= !x_b.
-			for w := range eq {
-				gt[w] |= eq[w] & x[w]
-				eq[w] &^= x[w]
-			}
-			micro += 2
+	// Gather the field a byte column at a time: one row pass yields the
+	// eight bit planes of a byte, of which the field uses those in range.
+	var p8 [8][]uint64
+	for j := range p8 {
+		p8[j] = a.plane(4 + j)
+	}
+	for b := 0; b < width; { // b is the MSB-first bit position
+		col := fieldBase + b
+		a.LoadPlanes8(col>>3, &p8)
+		for j := col & 7; j < 8 && b < width; j++ {
+			micro += cmpStep(gt, eq, p8[j], k&(1<<uint(width-1-b)) != 0)
+			b++
 		}
 	}
 	a.StorePlane(tmpGT, gt)
@@ -240,6 +261,25 @@ func (a *ArrayImage) CmpConst(pred Predicate, fieldBase, width int, k uint64, ds
 	}
 	a.StorePlane(dstCol, d)
 	return micro
+}
+
+// cmpStep folds one field bit plane x into the comparator's running flags
+// and returns the micro-ops the step is charged.
+func cmpStep(gt, eq, x []uint64, kbit bool) int {
+	if kbit {
+		// x_b=0 while still equal => x < k at this bit; gt unchanged;
+		// eq &= x_b.
+		for w := range eq {
+			eq[w] &= x[w]
+		}
+		return 1
+	}
+	// x_b=1 while still equal => x > k: gt |= eq & x_b; eq &= !x_b.
+	for w := range eq {
+		gt[w] |= eq[w] & x[w]
+		eq[w] &^= x[w]
+	}
+	return 2
 }
 
 // CmpMicroOps returns the micro-op count CmpConst will report, for timing
@@ -314,19 +354,86 @@ func (p Predicate) Eval(x, k uint64) bool {
 // FieldBE reads the big-endian field stored in columns
 // [fieldBase, fieldBase+width) of a row, for tests and oracles.
 func (a *ArrayImage) FieldBE(row, fieldBase, width int) uint64 {
-	var v uint64
-	for b := 0; b < width; b++ {
-		v <<= 1
-		if a.Bit(row, fieldBase+b) {
-			v |= 1
-		}
-	}
-	return v
+	return ReadFieldBE(a.Row(row), fieldBase, width)
 }
 
 // SetFieldBE writes the big-endian field of a row.
 func (a *ArrayImage) SetFieldBE(row, fieldBase, width int, v uint64) {
+	WriteFieldBE(a.Row(row), fieldBase, width, v)
+	a.dirty[row] = true
+}
+
+// ReadFieldBE reads the width-bit (1..64) big-endian field stored in bit
+// columns [fieldBase, fieldBase+width) of a row image: the field's first
+// column holds its most significant bit, and column c is bit c%8 of byte
+// c/8. Columns therefore run LSB-first through the row while field bits
+// run MSB-first, so a byte-aligned field is its bytes read little-endian
+// with the bit order reversed.
+func ReadFieldBE(row []byte, fieldBase, width int) uint64 {
+	if fieldBase&7 != 0 {
+		return readFieldBEBits(row, fieldBase, width)
+	}
+	return bits.Reverse64(loadLE(row[fieldBase>>3:], (width+7)>>3)) >> uint(64-width)
+}
+
+// WriteFieldBE writes v's low width bits (1..64) as the big-endian field at
+// fieldBase of a row image, leaving every other column untouched. It is
+// the inverse of ReadFieldBE.
+func WriteFieldBE(row []byte, fieldBase, width int, v uint64) {
+	if fieldBase&7 != 0 {
+		writeFieldBEBits(row, fieldBase, width, v)
+		return
+	}
+	p := row[fieldBase>>3:]
+	n := (width + 7) >> 3
+	mask := ^uint64(0) >> uint(64-width)
+	le := bits.Reverse64(v << uint(64-width))
+	storeLE(p, n, loadLE(p, n)&^mask|le&mask)
+}
+
+// readFieldBEBits is ReadFieldBE one bit at a time, for fields that do not
+// start on a byte boundary.
+func readFieldBEBits(row []byte, fieldBase, width int) uint64 {
+	var v uint64
 	for b := 0; b < width; b++ {
-		a.SetBit(row, fieldBase+b, v&(1<<uint(width-1-b)) != 0)
+		col := fieldBase + b
+		v = v<<1 | uint64(row[col>>3]>>uint(col&7)&1)
+	}
+	return v
+}
+
+// writeFieldBEBits is WriteFieldBE one bit at a time.
+func writeFieldBEBits(row []byte, fieldBase, width int, v uint64) {
+	for b := 0; b < width; b++ {
+		col := fieldBase + b
+		bit := byte(1) << uint(col&7)
+		if v&(1<<uint(width-1-b)) != 0 {
+			row[col>>3] |= bit
+		} else {
+			row[col>>3] &^= bit
+		}
+	}
+}
+
+// loadLE returns the n (1..8) bytes of p as a little-endian word.
+func loadLE(p []byte, n int) uint64 {
+	if n == 8 {
+		return binary.LittleEndian.Uint64(p)
+	}
+	var v uint64
+	for i := n - 1; i >= 0; i-- {
+		v = v<<8 | uint64(p[i])
+	}
+	return v
+}
+
+// storeLE writes the low n (1..8) bytes of v to p, little-endian.
+func storeLE(p []byte, n int, v uint64) {
+	if n == 8 {
+		binary.LittleEndian.PutUint64(p, v)
+		return
+	}
+	for i := 0; i < n; i++ {
+		p[i] = byte(v >> uint(8*i))
 	}
 }

@@ -2,6 +2,7 @@ package pimdb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bulkpim/internal/mem"
 	"bulkpim/internal/pim"
@@ -134,11 +135,14 @@ func (l Layout) CompileAggregate(scopeBase mem.Addr, src, field, microOps int, f
 		col := l.FieldCol(field)
 		op.Apply = func(b *mem.Backing, writer uint64) {
 			var sum uint64
+			img := pim.NewArrayImage(l.Geom, scopeBase)
+			match := make([]uint64, img.PlaneWords())
 			for a := 0; a < l.DataArrays; a++ {
-				img := pim.LoadArray(b, scopeBase, l.Geom, a)
-				for r := 0; r < l.Geom.Rows; r++ {
-					if img.Bit(r, l.MatchCols[src]) {
-						sum += img.FieldBE(r, col, 32)
+				img.Reload(b, a)
+				img.LoadPlane(l.MatchCols[src], match)
+				for w, m := range match {
+					for ; m != 0; m &= m - 1 {
+						sum += img.FieldBE(w*64+bits.TrailingZeros64(m), col, 32)
 					}
 				}
 			}
@@ -159,8 +163,9 @@ func (l Layout) CompileCount(scopeBase mem.Addr, src int, functional bool) *mem.
 	if functional {
 		op.Apply = func(b *mem.Backing, writer uint64) {
 			var total uint64
+			img := pim.NewArrayImage(l.Geom, scopeBase)
 			for a := 0; a < l.DataArrays; a++ {
-				img := pim.LoadArray(b, scopeBase, l.Geom, a)
+				img.Reload(b, a)
 				n, _ := img.PopCountColumn(l.MatchCols[src], l.Geom.Rows)
 				total += uint64(n)
 			}
@@ -180,8 +185,9 @@ func (l Layout) gatherApply(scopeBase mem.Addr, src int) func(*mem.Backing, uint
 	return func(b *mem.Backing, writer uint64) {
 		res := pim.LoadArray(b, scopeBase, l.Geom, l.ResultArray)
 		plane := make([]uint64, res.PlaneWords())
+		img := pim.NewArrayImage(l.Geom, scopeBase)
 		for a := 0; a < l.DataArrays; a++ {
-			img := pim.LoadArray(b, scopeBase, l.Geom, a)
+			img.Reload(b, a)
 			img.LoadPlane(l.MatchCols[src], plane)
 			res.SetRowBits(a, plane, l.Geom.Rows)
 		}
@@ -189,9 +195,12 @@ func (l Layout) gatherApply(scopeBase mem.Addr, src int) func(*mem.Backing, uint
 	}
 }
 
+// forEachDataArray runs fn on every data array of the scope and stores
+// each back, all through one reused image.
 func (l Layout) forEachDataArray(b *mem.Backing, scopeBase mem.Addr, writer uint64, fn func(*pim.ArrayImage)) {
+	img := pim.NewArrayImage(l.Geom, scopeBase)
 	for a := 0; a < l.DataArrays; a++ {
-		img := pim.LoadArray(b, scopeBase, l.Geom, a)
+		img.Reload(b, a)
 		fn(img)
 		img.Store(b, writer)
 	}

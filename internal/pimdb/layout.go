@@ -121,16 +121,18 @@ func (l Layout) FieldCol(f int) int { return l.FieldByteOff(f) * 8 }
 // big-endian bit-serial order, fields as plain bytes.
 func (l Layout) EncodeRecord(key uint64, fields [][]byte) []byte {
 	line := make([]byte, mem.LineSize)
-	for b := 0; b < l.KeyBits; b++ {
-		if key&(1<<uint(l.KeyBits-1-b)) != 0 {
-			line[b/8] |= 1 << uint(b%8)
-		}
-	}
+	l.EncodeRecordInto(line, key, fields)
+	return line
+}
+
+// EncodeRecordInto writes the record image into line, which must be zero
+// outside the key and field columns (a fresh or reused record line).
+func (l Layout) EncodeRecordInto(line []byte, key uint64, fields [][]byte) {
+	pim.WriteFieldBE(line, 0, l.KeyBits, key)
 	for f, data := range fields {
 		off := l.FieldByteOff(f)
 		copy(line[off:off+l.FieldBytes], data)
 	}
-	return line
 }
 
 // EncodeFieldBE writes a numeric value into field f of a record line image
@@ -139,49 +141,25 @@ func (l Layout) EncodeRecord(key uint64, fields [][]byte) []byte {
 // FieldBE on the field see v. Text fields can use plain bytes; numeric
 // fields that PIM programs compare must use this encoding.
 func (l Layout) EncodeFieldBE(line []byte, f, widthBits int, v uint64) {
-	base := l.FieldCol(f)
-	for b := 0; b < widthBits; b++ {
-		col := base + b
-		bit := v&(1<<uint(widthBits-1-b)) != 0
-		if bit {
-			line[col/8] |= 1 << uint(col%8)
-		} else {
-			line[col/8] &^= 1 << uint(col%8)
-		}
-	}
+	pim.WriteFieldBE(line, l.FieldCol(f), widthBits, v)
 }
 
 // DecodeFieldBE reads back a numeric field written by EncodeFieldBE.
 func (l Layout) DecodeFieldBE(line []byte, f, widthBits int) uint64 {
-	base := l.FieldCol(f)
-	var v uint64
-	for b := 0; b < widthBits; b++ {
-		col := base + b
-		v <<= 1
-		if line[col/8]&(1<<uint(col%8)) != 0 {
-			v |= 1
-		}
-	}
-	return v
+	return pim.ReadFieldBE(line, l.FieldCol(f), widthBits)
 }
 
 // DecodeKey extracts the key from a record line image.
 func (l Layout) DecodeKey(line []byte) uint64 {
-	var key uint64
-	for b := 0; b < l.KeyBits; b++ {
-		key <<= 1
-		if line[b/8]&(1<<uint(b%8)) != 0 {
-			key |= 1
-		}
-	}
-	return key
+	return pim.ReadFieldBE(line, 0, l.KeyBits)
 }
 
 // WriteRecord stores a record image directly into backing memory
 // (database initialization).
 func (l Layout) WriteRecord(bk *mem.Backing, scopeBase mem.Addr, pos int, key uint64, fields [][]byte) {
-	line := l.EncodeRecord(key, fields)
-	bk.WriteLine(l.RecordLine(scopeBase, pos), line)
+	var line [mem.LineSize]byte
+	l.EncodeRecordInto(line[:], key, fields)
+	bk.WriteLine(l.RecordLine(scopeBase, pos), line[:])
 }
 
 // ResultBit reads match bit `row` of data array a from a result line image.

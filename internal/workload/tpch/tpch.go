@@ -185,12 +185,13 @@ func storedValue(scope mem.ScopeID, pos, f int) uint64 {
 // InitScope writes synthetic records for one scope (functional runs).
 func InitScope(bk *mem.Backing, layout pimdb.Layout, scopeBase mem.Addr, scope mem.ScopeID) {
 	rows := layout.RecordsPerScope()
+	var line [mem.LineSize]byte
 	for pos := 0; pos < rows; pos++ {
-		line := layout.EncodeRecord(uint64(pos)+1, nil)
+		layout.EncodeRecordInto(line[:], uint64(pos)+1, nil)
 		for f := 0; f < layout.Fields; f++ {
-			layout.EncodeFieldBE(line, f, widthOfField(f), storedValue(scope, pos, f))
+			layout.EncodeFieldBE(line[:], f, widthOfField(f), storedValue(scope, pos, f))
 		}
-		bk.WriteLine(layout.RecordLine(scopeBase, pos), line)
+		bk.WriteLine(layout.RecordLine(scopeBase, pos), line[:])
 	}
 }
 

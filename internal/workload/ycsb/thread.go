@@ -210,7 +210,9 @@ func (th *thread) emitInsert(op *opSpec) {
 	scope := w.Layout.ScopeOfRecord(pos)
 	base := th.sys.Scopes.ScopeBase(scope)
 	line := w.Layout.RecordLine(base, pos%w.Layout.RecordsPerScope())
-	image := w.Layout.EncodeRecord(op.key+1, w.recordFields(op.key))
+	fields := w.newFields()
+	w.fillFields(op.key, fields)
+	image := w.Layout.EncodeRecord(op.key+1, fields)
 	th.emit(cpu.Instr{Kind: cpu.InstrStore, Addr: line.Addr(), Data: image, Label: "insert"})
 	if th.touched != nil {
 		// SW-Flush: flush immediately after writing so any thread's next

@@ -166,27 +166,39 @@ func FieldByte(key uint64, field, i int) byte {
 	return byte(x)
 }
 
-// recordFields builds the field payloads of a record.
-func (w *Workload) recordFields(key uint64) [][]byte {
+// newFields returns P.Fields field buffers of P.FieldBytes bytes each,
+// carved from one allocation.
+func (w *Workload) newFields() [][]byte {
+	n := w.P.FieldBytes
+	buf := make([]byte, w.P.Fields*n)
 	fields := make([][]byte, w.P.Fields)
 	for f := range fields {
-		fields[f] = make([]byte, w.P.FieldBytes)
-		for i := range fields[f] {
-			fields[f][i] = FieldByte(key, f, i)
-		}
+		fields[f] = buf[f*n : (f+1)*n]
 	}
 	return fields
 }
 
+// fillFields writes the field payloads of a record into fields (from
+// newFields).
+func (w *Workload) fillFields(key uint64, fields [][]byte) {
+	for f, data := range fields {
+		for i := range data {
+			data[i] = FieldByte(key, f, i)
+		}
+	}
+}
+
 // InitBacking writes the initial database image (functional runs). Keys
 // are stored +1: the all-zero image of an unoccupied row must never match
-// a scan.
+// a scan. One set of field buffers is refilled for every record.
 func (w *Workload) InitBacking(bk *mem.Backing, scopes *mem.ScopeMap) {
+	fields := w.newFields()
 	for key := uint64(0); key < uint64(w.P.Records); key++ {
 		pos := w.Position(key)
 		scope := w.Layout.ScopeOfRecord(pos)
 		base := scopes.ScopeBase(scope)
-		w.Layout.WriteRecord(bk, base, pos%w.Layout.RecordsPerScope(), key+1, w.recordFields(key))
+		w.fillFields(key, fields)
+		w.Layout.WriteRecord(bk, base, pos%w.Layout.RecordsPerScope(), key+1, fields)
 	}
 }
 
