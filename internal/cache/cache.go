@@ -45,44 +45,65 @@ func (s MESI) String() string {
 	}
 }
 
-// Line is one cache line with its coherence and directory metadata.
-type Line struct {
-	Addr  mem.LineAddr
-	State MESI
-	// Dirty marks LLC contents newer than memory (merged L1 writebacks).
-	Dirty bool
-	// PIMEnabled marks lines of PIM-enabled scopes (drives the SBV).
-	PIMEnabled bool
-	Scope      mem.ScopeID
-	// Data is the 64-byte payload; Writer the happens-before event of the
-	// write that produced it.
-	Data   []byte
-	Writer uint64
-	// Directory state (LLC only): Sharers is a bitmask of cores holding S
-	// copies; Owner is the core holding E/M, or -1.
-	Sharers uint64
-	Owner   int
+// Slot flags.
+const (
+	// flagDirty marks LLC contents newer than memory (merged L1 writebacks).
+	flagDirty uint8 = 1 << iota
+	// flagPIM marks lines of PIM-enabled scopes (drives the SBV).
+	flagPIM
+	// flagData marks a slot holding a payload. Timing runs keep the flag
+	// without the bytes: whether an L1 copy is dirty depends on it.
+	flagData
+)
 
-	used  uint64
-	valid bool
+// slotMeta is one slot's coherence and directory metadata. It holds no
+// pointers, so the GC never scans the metadata array.
+type slotMeta struct {
+	// sharers (LLC only) is a bitmask of cores holding S copies.
+	sharers uint64
+	scope   mem.ScopeID
+	state   MESI
+	flags   uint8
+	// owner (LLC only) is the core holding E/M, or -1.
+	owner int8
 }
 
-// setAssoc is an N-way set-associative array with LRU replacement.
+func (m *slotMeta) dirty() bool      { return m.flags&flagDirty != 0 }
+func (m *slotMeta) pimEnabled() bool { return m.flags&flagPIM != 0 }
+
+// setAssoc is an N-way set-associative array with LRU replacement, kept
+// as pointer-free parallel slices indexed by slot = set*ways + way. A probe
+// compares one set's contiguous tag words; Victim is one argmin over its
+// LRU stamps.
 type setAssoc struct {
 	sets, ways int
-	lines      []Line
-	clock      uint64
+	// tags holds addr|1 for a valid slot and 0 for an invalid one (line
+	// addresses are 64-byte aligned, so bit 0 is free).
+	tags []uint64
+	// used holds LRU stamps. An invalid slot's stamp is 0 and a valid
+	// slot's is >= 1, so the argmin picks the first invalid way if any.
+	used  []uint64
+	meta  []slotMeta
+	clock uint64
+	// pay stores payload bytes and writers; nil in timing runs.
+	pay *payloads
 }
 
 func newSetAssoc(sets, ways int) setAssoc {
 	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
 		panic("cache: geometry must be positive with power-of-two sets")
 	}
-	lines := make([]Line, sets*ways)
-	for i := range lines {
-		lines[i].Owner = -1
+	n := sets * ways
+	meta := make([]slotMeta, n)
+	for i := range meta {
+		meta[i].owner = -1
 	}
-	return setAssoc{sets: sets, ways: ways, lines: lines}
+	return setAssoc{sets: sets, ways: ways, tags: make([]uint64, n), used: make([]uint64, n), meta: meta}
+}
+
+// storePayloads makes the array keep payload bytes and writers.
+func (c *setAssoc) storePayloads() {
+	c.pay = newPayloads(len(c.tags))
 }
 
 // SetOf maps a line address to its set index.
@@ -90,57 +111,181 @@ func (c *setAssoc) SetOf(l mem.LineAddr) int {
 	return int(l.Index() & uint64(c.sets-1))
 }
 
-func (c *setAssoc) set(idx int) []Line {
-	return c.lines[idx*c.ways : (idx+1)*c.ways]
-}
-
-// Lookup returns the line if present, refreshing LRU.
-func (c *setAssoc) Lookup(l mem.LineAddr) *Line {
+// Lookup returns the line's slot if present, refreshing LRU, else -1.
+func (c *setAssoc) Lookup(l mem.LineAddr) int {
 	c.clock++
-	p := c.Peek(l)
-	if p != nil {
-		p.used = c.clock
+	s := c.Peek(l)
+	if s >= 0 {
+		c.used[s] = c.clock
 	}
-	return p
+	return s
 }
 
-// Peek returns the line without touching LRU. Ways are probed in place:
-// ranging the set by value would copy a whole Line per way.
-func (c *setAssoc) Peek(l mem.LineAddr) *Line {
-	set := c.set(c.SetOf(l))
-	for i := range set {
-		if p := &set[i]; p.valid && p.Addr == l {
-			return p
+// Peek returns the line's slot without touching LRU, or -1.
+func (c *setAssoc) Peek(l mem.LineAddr) int {
+	base := c.SetOf(l) * c.ways
+	tag := uint64(l) | 1
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == tag {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Victim returns the slot to fill for line l: an invalid way if one
 // exists, else the LRU way (whose previous contents the caller must evict).
-func (c *setAssoc) Victim(l mem.LineAddr) *Line {
-	set := c.set(c.SetOf(l))
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if set[i].used < victim.used {
-			victim = &set[i]
+func (c *setAssoc) Victim(l mem.LineAddr) int {
+	base := c.SetOf(l) * c.ways
+	v, least := base, c.used[base]
+	for i, u := range c.used[base+1 : base+c.ways] {
+		if u < least {
+			v, least = base+1+i, u
 		}
 	}
-	return victim
+	return v
 }
 
-// Install places a line into slot v (which the caller has vacated),
-// resetting every field in place rather than copying in a fresh Line.
-func (c *setAssoc) Install(v *Line, l mem.LineAddr, state MESI) {
+// Install places line l into slot s (which the caller has vacated),
+// resetting its metadata and payload.
+func (c *setAssoc) Install(s int, l mem.LineAddr, state MESI) {
 	c.clock++
-	v.Addr, v.State = l, state
-	v.Dirty, v.PIMEnabled, v.Scope = false, false, 0
-	v.Data, v.Writer = nil, 0
-	v.Sharers, v.Owner = 0, -1
-	v.used, v.valid = c.clock, true
+	c.tags[s], c.used[s] = uint64(l)|1, c.clock
+	c.meta[s] = slotMeta{state: state, owner: -1}
+	if c.pay != nil {
+		c.pay.release(s)
+		c.pay.writer[s] = 0
+	}
+}
+
+// Invalidate clears slot s.
+func (c *setAssoc) Invalidate(s int) {
+	c.tags[s], c.used[s] = 0, 0
+	c.meta[s] = slotMeta{owner: -1}
+	if c.pay != nil {
+		c.pay.release(s)
+	}
+}
+
+// Valid reports whether slot s holds a line.
+func (c *setAssoc) Valid(s int) bool { return c.tags[s] != 0 }
+
+// Addr returns the line held in valid slot s.
+func (c *setAssoc) Addr(s int) mem.LineAddr { return mem.LineAddr(c.tags[s] &^ 1) }
+
+// hasData reports whether slot s holds a payload.
+func (c *setAssoc) hasData(s int) bool { return c.meta[s].flags&flagData != 0 }
+
+// data returns slot s's payload bytes: nil when the slot holds none or the
+// array stores no bytes (timing runs). The slice aliases the array and is
+// valid until the slot's payload is dropped.
+func (c *setAssoc) data(s int) []byte {
+	if c.pay == nil || !c.hasData(s) {
+		return nil
+	}
+	return c.pay.bytes(s)
+}
+
+// writer returns the happens-before event of the write that produced slot
+// s's payload (0 in timing runs, which record none).
+func (c *setAssoc) writer(s int) uint64 {
+	if c.pay == nil {
+		return 0
+	}
+	return c.pay.writer[s]
+}
+
+// setData replaces slot s's payload: has says whether there is one, src
+// holds its bytes (read only when the array stores them).
+func (c *setAssoc) setData(s int, src []byte, has bool, writer uint64) {
+	m := &c.meta[s]
+	if !has {
+		m.flags &^= flagData
+		if c.pay != nil {
+			c.pay.release(s)
+			c.pay.writer[s] = writer
+		}
+		return
+	}
+	m.flags |= flagData
+	if c.pay != nil {
+		copy(c.pay.bytes(s), src[:mem.LineSize])
+		c.pay.writer[s] = writer
+	}
+}
+
+// store writes src at byte offset off of slot s's payload, creating a
+// zeroed payload first if the slot has none.
+func (c *setAssoc) store(s, off int, src []byte, writer uint64) {
+	c.meta[s].flags |= flagData
+	if c.pay != nil {
+		copy(c.pay.bytes(s)[off:off+len(src)], src)
+		c.pay.writer[s] = writer
+	}
+}
+
+// clone returns a pooled copy of slot s's payload bytes, or nil when there
+// are none to copy.
+func (c *setAssoc) clone(p *mem.RequestPool, s int) []byte {
+	if d := c.data(s); d != nil {
+		return p.CloneLine(d)
+	}
+	return nil
+}
+
+// payloads holds a functional cache's line bytes in an arena of LineSize
+// entries that grows a chunk at a time as lines gain data, with a free
+// list, plus one writer per slot. Chunks never move, so growth copies
+// nothing and leaves no slack beyond the last chunk. Timing runs allocate
+// none of it.
+type payloads struct {
+	ref    []int32  // per slot: arena entry + 1, or 0 when none
+	writer []uint64 // per slot
+	chunks [][]byte // chunkLines entries each
+	used   int32    // entries handed out so far
+	free   []int32
+}
+
+// chunkLines is the arena's growth step: 8 KB of payloads.
+const chunkLines = 128
+
+func newPayloads(slots int) *payloads {
+	return &payloads{ref: make([]int32, slots), writer: make([]uint64, slots)}
+}
+
+// bytes returns slot s's payload entry, attaching a zeroed one (recycled
+// from the free list, else fresh) if the slot has none.
+func (p *payloads) bytes(s int) []byte {
+	e := p.ref[s] - 1
+	if e >= 0 {
+		return p.entry(e)
+	}
+	if n := len(p.free); n > 0 {
+		e = p.free[n-1]
+		p.free = p.free[:n-1]
+		clear(p.entry(e))
+	} else {
+		e = p.used
+		p.used++
+		if int(e)/chunkLines == len(p.chunks) {
+			p.chunks = append(p.chunks, make([]byte, chunkLines*mem.LineSize))
+		}
+	}
+	p.ref[s] = e + 1
+	return p.entry(e)
+}
+
+func (p *payloads) entry(e int32) []byte {
+	i := int(e%chunkLines) * mem.LineSize
+	return p.chunks[e/chunkLines][i : i+mem.LineSize : i+mem.LineSize]
+}
+
+// release returns slot s's entry, if any, to the free list.
+func (p *payloads) release(s int) {
+	if e := p.ref[s]; e != 0 {
+		p.free = append(p.free, e-1)
+		p.ref[s] = 0
+	}
 }
 
 // scanNext returns the first set at or after s that a scope scan must
@@ -154,65 +299,6 @@ func scanNext(sbv *core.SBV, sets, s int) int {
 		return s
 	}
 	return -1
-}
-
-// Invalidate clears a line slot.
-func (c *setAssoc) Invalidate(ln *Line) {
-	ln.valid = false
-	ln.State = Invalid
-	ln.Data = nil
-	ln.Sharers = 0
-	ln.Owner = -1
-	ln.Dirty = false
-}
-
-// Valid reports whether the slot holds a line.
-func (ln *Line) Valid() bool { return ln != nil && ln.valid }
-
-// CountValid returns the number of valid lines (tests).
-func (c *setAssoc) CountValid() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
-// Sets returns the set count.
-func (c *setAssoc) Sets() int { return c.sets }
-
-// Ways returns the way count.
-func (c *setAssoc) Ways() int { return c.ways }
-
-// cloneData copies line payloads defensively (tests; the hot paths use
-// pooled buffers via setLineData / RequestPool.CloneLine instead).
-func cloneData(d []byte) []byte {
-	if d == nil {
-		return nil
-	}
-	out := make([]byte, len(d))
-	copy(out, d)
-	return out
-}
-
-// setLineData copies src into ln's payload, reusing the line's pooled
-// buffer in place (allocating one from the pool only on first use). A nil
-// src releases the buffer. Every Line.Data in the hierarchy is pool-owned;
-// the component invalidating a slot returns its buffer.
-func setLineData(p *mem.RequestPool, ln *Line, src []byte) {
-	if src == nil {
-		if ln.Data != nil {
-			p.PutLine(ln.Data)
-			ln.Data = nil
-		}
-		return
-	}
-	if ln.Data == nil {
-		ln.Data = p.GetLine()
-	}
-	copy(ln.Data[:mem.LineSize], src)
 }
 
 // FillWaiter is a closure-free L1 fill continuation: Fn(Ctx, line, data,

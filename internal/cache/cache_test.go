@@ -33,11 +33,13 @@ func newRig(t *testing.T, model core.Model, cores int) *rig {
 	mod.Functional = true
 	mc := memctrl.New(k, mod, b)
 	llc := NewLLC(k, model, 16, 2, 18, scopes)
+	llc.StorePayloads()
 	rng := sim.NewRand(7)
 	l1s := make([]*L1, cores)
 	down := make([]*noc.Link, cores)
 	for i := range l1s {
 		l1s[i] = NewL1(k, i, 4, 2, 3)
+		l1s[i].StorePayloads()
 		if model.ScopeStructuresInAllCaches() {
 			l1s[i].EnableScopeStructures(16, 1)
 		}
@@ -49,6 +51,59 @@ func newRig(t *testing.T, model core.Model, cores int) *rig {
 	mcResp := noc.NewLink(k, "mcr", 6, 0, 1, rng.Fork())
 	llc.Connect(l1s, down, mc, mcLink, mcResp)
 	return &rig{k: k, b: b, scopes: scopes, l1s: l1s, llc: llc, mc: mc, mod: mod}
+}
+
+// cloneData copies a line payload out of a pooled buffer.
+func cloneData(d []byte) []byte {
+	if d == nil {
+		return nil
+	}
+	out := make([]byte, len(d))
+	copy(out, d)
+	return out
+}
+
+// CheckInclusive verifies every valid L1 line is present in the LLC
+// It returns the first violating line address.
+func (l *LLC) CheckInclusive() (mem.LineAddr, bool) {
+	for _, l1 := range l.l1s {
+		for s := range l1.arr.tags {
+			if l1.arr.Valid(s) && l.arr.Peek(l1.arr.Addr(s)) < 0 {
+				return l1.arr.Addr(s), true
+			}
+		}
+	}
+	return 0, false
+}
+
+// CheckSWMR verifies the single-writer/multiple-reader invariant across
+// L1s: a line modified in one L1 appears in no other L1.
+func (l *LLC) CheckSWMR() (mem.LineAddr, bool) {
+	type holder struct{ m, any int }
+	seen := make(map[mem.LineAddr]*holder)
+	for _, l1 := range l.l1s {
+		for s := range l1.arr.tags {
+			if !l1.arr.Valid(s) {
+				continue
+			}
+			addr := l1.arr.Addr(s)
+			h := seen[addr]
+			if h == nil {
+				h = &holder{}
+				seen[addr] = h
+			}
+			h.any++
+			if st := l1.arr.meta[s].state; st == Modified || st == Exclusive {
+				h.m++
+			}
+		}
+	}
+	for addr, h := range seen {
+		if h.m > 0 && h.any > 1 {
+			return addr, true
+		}
+	}
+	return 0, false
 }
 
 // loadVia fetches a line through core i's L1, returning the observed data.

@@ -40,7 +40,7 @@ type L1 struct {
 	deliverX []ExclWaiter
 
 	// victims is ScanFlushScope's reusable per-set eviction list.
-	victims []*Line
+	victims []int
 
 	// Hoisted event/link callbacks (built once in NewL1) so the miss and
 	// PIM-forward paths schedule without allocating closures.
@@ -81,6 +81,11 @@ func (c *L1) Connect(llc *LLC, up *noc.Link) {
 	c.up = up
 }
 
+// StorePayloads makes the cache keep line bytes and writers, as a
+// functional run needs. Without it the cache tracks only whether each line
+// has a payload.
+func (c *L1) StorePayloads() { c.arr.storePayloads() }
+
 // EnableScopeStructures attaches a scope buffer and SBV (scope-relaxed).
 func (c *L1) EnableScopeStructures(sbSets, sbWays int) {
 	c.SB = core.NewScopeBuffer(sbSets, sbWays)
@@ -111,11 +116,12 @@ func (c *L1) putMiss(e *l1Miss) {
 }
 
 // TryLoad returns the line's data and writer on a hit. The returned slice
-// is the cache's own pooled buffer: callers consume it synchronously.
+// is the cache's own storage: callers consume it synchronously. Data is
+// nil unless the cache stores payloads.
 func (c *L1) TryLoad(l mem.LineAddr) (data []byte, writer uint64, ok bool) {
-	if ln := c.arr.Lookup(l); ln.Valid() {
+	if s := c.arr.Lookup(l); s >= 0 {
 		c.Hits.Inc()
-		return ln.Data, ln.Writer, true
+		return c.arr.data(s), c.arr.writer(s), true
 	}
 	return nil, 0, false
 }
@@ -123,22 +129,18 @@ func (c *L1) TryLoad(l mem.LineAddr) (data []byte, writer uint64, ok bool) {
 // TryStore writes bytes into the line if the cache holds write permission
 // (E or M), transitioning it to M.
 func (c *L1) TryStore(l mem.LineAddr, off int, data []byte, writer uint64) bool {
-	ln := c.arr.Lookup(l)
-	if !ln.Valid() || (ln.State != Exclusive && ln.State != Modified) {
+	s := c.arr.Lookup(l)
+	if s < 0 || (c.arr.meta[s].state != Exclusive && c.arr.meta[s].state != Modified) {
 		return false
 	}
 	c.Hits.Inc()
-	if ln.Data == nil {
-		ln.Data = c.Pool.GetLine()
-	}
-	copy(ln.Data[off:off+len(data)], data)
-	ln.State = Modified
-	ln.Writer = writer
+	c.arr.store(s, off, data, writer)
+	c.arr.meta[s].state = Modified
 	return true
 }
 
 // HasLine reports presence (tests, adversarial prefetcher).
-func (c *L1) HasLine(l mem.LineAddr) bool { return c.arr.Peek(l).Valid() }
+func (c *L1) HasLine(l mem.LineAddr) bool { return c.arr.Peek(l) >= 0 }
 
 // RequestLine issues (or joins) a miss. done receives the line data when
 // the fill arrives; for exclusive requests the line is installed writable
@@ -182,11 +184,12 @@ func (c *L1) ForwardPIM(req *mem.Request) {
 	c.k.ScheduleCtx(c.HitLatency, c.fwdFn, req)
 }
 
-// Fill delivers a line from the LLC. state is Shared or Exclusive;
+// fill delivers a line from the LLC. m.state is Shared or Exclusive;
 // noCache fills (scope flushed while the miss was outstanding) are handed
-// to waiters without installing. data is the sender's buffer and is only
-// read during the call.
-func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEnabled bool, scope mem.ScopeID, noCache bool) {
+// to waiters without installing. m.data is the message's buffer and is
+// only read during the call.
+func (c *L1) fill(m *fillMsg) {
+	l, data, writer, scope, noCache := m.addr, m.data, m.writer, m.scope, m.noCache
 	e := c.mshr.Get(l)
 	if e == nil {
 		// Unsolicited fill (possible after local stale handling); drop.
@@ -197,7 +200,7 @@ func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEna
 		e.stale = false
 	}
 	if !noCache {
-		c.install(l, state, data, writer, pimEnabled, scope)
+		c.install(m)
 	}
 	c.deliverW = append(c.deliverW[:0], e.waiters...)
 	for i := range e.waiters {
@@ -209,8 +212,7 @@ func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEna
 	}
 	// Exclusive waiters need a writable installed line.
 	if len(e.exclWaiters) > 0 {
-		ln := c.arr.Peek(l)
-		if ln.Valid() && (ln.State == Exclusive || ln.State == Modified) {
+		if s := c.arr.Peek(l); s >= 0 && (c.arr.meta[s].state == Exclusive || c.arr.meta[s].state == Modified) {
 			c.deliverX = append(c.deliverX[:0], e.exclWaiters...)
 			c.mshr.Delete(l)
 			c.putMiss(e)
@@ -223,7 +225,7 @@ func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEna
 		e.excl = true
 		r := c.Pool.Get()
 		r.Kind, r.Line, r.Scope, r.Core = mem.ReqLoad, l, scope, c.CoreID
-		r.Excl, r.PIMEnabled = true, pimEnabled
+		r.Excl, r.PIMEnabled = true, m.pim
 		c.sendMiss(r)
 		return
 	}
@@ -231,49 +233,40 @@ func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEna
 	c.putMiss(e)
 }
 
-func (c *L1) install(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEnabled bool, scope mem.ScopeID) {
-	if ln := c.arr.Peek(l); ln.Valid() {
+func (c *L1) install(m *fillMsg) {
+	l := m.addr
+	if s := c.arr.Peek(l); s >= 0 {
 		// Upgrade in place (e.g. S -> E on a GetM fill).
-		ln.State = state
-		setLineData(c.Pool, ln, data)
-		ln.Writer = writer
+		c.arr.meta[s].state = m.state
+		c.arr.setData(s, m.data, m.hasData, m.writer)
 		return
 	}
 	v := c.arr.Victim(l)
-	if v.Valid() {
+	if c.arr.Valid(v) {
 		c.evict(v)
 	}
-	c.arr.Install(v, l, state)
-	setLineData(c.Pool, v, data)
-	v.Writer = writer
-	v.PIMEnabled = pimEnabled
-	v.Scope = scope
-	if pimEnabled {
+	c.arr.Install(v, l, m.state)
+	c.arr.setData(v, m.data, m.hasData, m.writer)
+	c.arr.meta[v].scope = m.scope
+	if m.pim {
+		c.arr.meta[v].flags |= flagPIM
 		if c.SBV != nil {
 			c.SBV.OnInsert(c.arr.SetOf(l))
 		}
 		if c.SB != nil {
-			c.SB.Invalidate(scope)
+			c.SB.Invalidate(m.scope)
 		}
 	}
 }
 
-func (c *L1) evict(v *Line) {
-	if v.State == Modified {
+func (c *L1) evict(v int) {
+	m := &c.arr.meta[v]
+	if m.state == Modified {
 		c.Writebacks.Inc()
-		c.llc.WritebackFromL1(c.CoreID, v.Addr, v.Data, v.Writer)
+		c.llc.writebackFromL1(c.CoreID, c.arr.Addr(v), c.arr.data(v), c.arr.hasData(v), c.arr.writer(v))
 	}
-	if v.PIMEnabled && c.SBV != nil {
-		c.SBV.OnEvict(c.arr.SetOf(v.Addr))
-	}
-	c.dropLine(v)
-}
-
-// dropLine invalidates a slot, returning its payload buffer to the pool.
-func (c *L1) dropLine(v *Line) {
-	if v.Data != nil {
-		c.Pool.PutLine(v.Data)
-		v.Data = nil
+	if m.pimEnabled() && c.SBV != nil {
+		c.SBV.OnEvict(c.arr.SetOf(c.arr.Addr(v)))
 	}
 	c.arr.Invalidate(v)
 }
@@ -283,22 +276,23 @@ func (c *L1) dropLine(v *Line) {
 // the caller owns dst, so no buffer changes hands. Invalidation updates
 // the SBV.
 func (c *L1) RecallLine(l mem.LineAddr, invalidate bool, dst []byte) (writer uint64, dirty, present bool) {
-	ln := c.arr.Peek(l)
-	if !ln.Valid() {
+	s := c.arr.Peek(l)
+	if s < 0 {
 		return 0, false, false
 	}
-	dirty = ln.State == Modified && ln.Data != nil
-	writer = ln.Writer
+	m := &c.arr.meta[s]
+	dirty = m.state == Modified && c.arr.hasData(s)
+	writer = c.arr.writer(s)
 	if dirty {
-		copy(dst[:mem.LineSize], ln.Data)
+		copy(dst[:mem.LineSize], c.arr.data(s))
 	}
 	if invalidate {
-		if ln.PIMEnabled && c.SBV != nil {
+		if m.pimEnabled() && c.SBV != nil {
 			c.SBV.OnEvict(c.arr.SetOf(l))
 		}
-		c.dropLine(ln)
-	} else if ln.State == Modified || ln.State == Exclusive {
-		ln.State = Shared
+		c.arr.Invalidate(s)
+	} else if m.state == Modified || m.state == Exclusive {
+		m.state = Shared
 	}
 	return writer, dirty, true
 }
@@ -315,15 +309,17 @@ func (c *L1) ScanFlushScope(scope mem.ScopeID) (setsScanned, flushed int) {
 	for s := scanNext(c.SBV, c.arr.sets, 0); s >= 0; s = scanNext(c.SBV, c.arr.sets, s+1) {
 		setsScanned++
 		c.victims = c.victims[:0]
-		set := c.arr.set(s)
-		for i := range set {
-			if set[i].valid && set[i].Scope == scope && set[i].PIMEnabled {
-				c.victims = append(c.victims, &set[i])
+		base := s * c.arr.ways
+		tags := c.arr.tags[base : base+c.arr.ways]
+		meta := c.arr.meta[base : base+len(tags)]
+		for i, tag := range tags {
+			if tag != 0 && meta[i].scope == scope && meta[i].pimEnabled() {
+				c.victims = append(c.victims, base+i)
 			}
 		}
-		for _, ln := range c.victims {
+		for _, v := range c.victims {
 			flushed++
-			c.evict(ln)
+			c.evict(v)
 		}
 	}
 	if c.SB != nil {
@@ -343,9 +339,6 @@ func (c *L1) markStale(scope mem.ScopeID) {
 		}
 	}
 }
-
-// LineCount reports valid lines (tests).
-func (c *L1) LineCount() int { return c.arr.CountValid() }
 
 // MSHRLen reports outstanding misses (deadlock diagnostics).
 func (c *L1) MSHRLen() int { return c.mshr.Len() }

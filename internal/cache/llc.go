@@ -60,7 +60,7 @@ type LLC struct {
 	recallBuf [mem.LineSize]byte
 
 	// victims is scanFlush's reusable per-set eviction list.
-	victims []*Line
+	victims []int
 
 	// Hoisted callbacks (built once in NewLLC) so the steady-state
 	// request path schedules and sends without allocating closures.
@@ -98,13 +98,15 @@ type llcMiss struct {
 }
 
 // fillMsg is a pooled L1-fill message: grant/deliverFill stage one,
-// deliverFillMsg unpacks it at the core tile and releases it. data, when
-// non-nil, is a pooled line owned by the message.
+// deliverFillMsg unpacks it at the core tile and releases it. hasData says
+// whether the line has a payload; data, non-nil only when the caches store
+// payloads, is a pooled copy of it owned by the message.
 type fillMsg struct {
 	l       *LLC
 	addr    mem.LineAddr
 	state   MESI
 	data    []byte
+	hasData bool
 	writer  uint64
 	pim     bool
 	scope   mem.ScopeID
@@ -116,7 +118,7 @@ type fillMsg struct {
 // L1 and recycle the message and its buffer.
 func deliverFillMsg(x any) {
 	m := x.(*fillMsg)
-	m.l.l1s[m.coreID].Fill(m.addr, m.state, m.data, m.writer, m.pim, m.scope, m.noCache)
+	m.l.l1s[m.coreID].fill(m)
 	if m.data != nil {
 		m.l.Pool.PutLine(m.data)
 		m.data = nil
@@ -166,6 +168,11 @@ func (l *LLC) Connect(l1s []*L1, down []*noc.Link, mc *memctrl.Controller, mcLin
 	l.mcResp = mcResp
 	mc.OnSpace = func() { l.pump() }
 }
+
+// StorePayloads makes the cache keep line bytes and writers, as a
+// functional run needs. Without it the cache tracks only whether each line
+// has a payload, and writebacks carry no bytes to memory.
+func (l *LLC) StorePayloads() { l.arr.storePayloads() }
 
 // SetScopeBufferGeometry overrides the default 64x4 scope buffer.
 func (l *LLC) SetScopeBufferGeometry(sets, ways int) {
@@ -225,6 +232,9 @@ func (l *LLC) enqueueFill(fetch *mem.Request) {
 }
 
 func (l *LLC) enqueue(w llcWork) {
+	if len(l.queue) == cap(l.queue) {
+		l.queue, l.qHead = compact(l.queue, l.qHead)
+	}
 	l.queue = append(l.queue, w)
 	if n := len(l.queue) - l.qHead; n > l.QueuePeak {
 		l.QueuePeak = n
@@ -245,7 +255,7 @@ func (l *LLC) process() {
 	l.queue[l.qHead] = llcWork{}
 	l.qHead++
 	if l.qHead == len(l.queue) {
-		// Drained: rewind so the backing array is reused forever.
+		// Drained: rewind so the backing array is reused.
 		l.queue = l.queue[:0]
 		l.qHead = 0
 	}
@@ -306,26 +316,23 @@ func (l *LLC) handleUncacheable(req *mem.Request) sim.Tick {
 
 // handleMiss services an L1 GetS/GetM.
 func (l *LLC) handleMiss(req *mem.Request) sim.Tick {
-	ln := l.arr.Lookup(req.Line)
-	if ln.Valid() {
+	if s := l.arr.Lookup(req.Line); s >= 0 {
 		l.Hits.Inc()
 		cost := l.HitLatency
-		if ln.Owner >= 0 && ln.Owner != req.Core {
-			writer, dirty, present := l.l1s[ln.Owner].RecallLine(req.Line, req.Excl, l.recallBuf[:])
+		if m := &l.arr.meta[s]; m.owner >= 0 && int(m.owner) != req.Core {
+			writer, dirty, present := l.l1s[m.owner].RecallLine(req.Line, req.Excl, l.recallBuf[:])
 			if present {
 				if dirty {
-					setLineData(l.Pool, ln, l.recallBuf[:])
-					ln.Writer = writer
-					ln.Dirty = true
+					l.mergeRecalled(s, writer)
 				}
 				if !req.Excl {
-					ln.Sharers |= 1 << uint(ln.Owner)
+					m.sharers |= 1 << uint(m.owner)
 				}
 			}
-			ln.Owner = -1
+			m.owner = -1
 			cost += 8 // owner round trip
 		}
-		l.grant(ln, req)
+		l.grant(s, req)
 		l.Pool.Put(req)
 		return cost
 	}
@@ -370,7 +377,7 @@ func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
 			if w.Excl {
 				keep = append(keep, w)
 			} else {
-				l.deliverFill(w, Shared, fetch.Data, fetch.Writer, true)
+				l.deliverFill(w, Shared, fetch.Data, fetch.Writer)
 				l.Pool.Put(w)
 			}
 		}
@@ -388,23 +395,20 @@ func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
 	}
 	l.mshr.Delete(fetch.Line)
 	v := l.arr.Peek(fetch.Line)
-	if v.Valid() {
-		// The line reappeared (e.g. installed by a racing writeback path);
-		// reuse the slot.
-		l.dropLine(v)
-	} else {
+	if v < 0 {
+		// A racing writeback path may have installed the line again; then
+		// its slot is reused as is.
 		v = l.arr.Victim(fetch.Line)
-		if v.Valid() {
+		if l.arr.Valid(v) {
 			l.evictVictim(v)
 		}
 	}
 	l.arr.Install(v, fetch.Line, Shared)
-	setLineData(l.Pool, v, fetch.Data)
-	v.Writer = fetch.Writer
+	l.arr.setData(v, fetch.Data, fetch.Data != nil, fetch.Writer)
 	scope := l.Scopes.ScopeOf(fetch.Line.Addr())
-	v.Scope = scope
-	v.PIMEnabled = scope != mem.NoScope
-	if v.PIMEnabled {
+	l.arr.meta[v].scope = scope
+	if scope != mem.NoScope {
+		l.arr.meta[v].flags |= flagPIM
 		if l.SBV != nil {
 			l.SBV.OnInsert(l.arr.SetOf(fetch.Line))
 		}
@@ -421,9 +425,10 @@ func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
 	return l.HitLatency + sim.Tick(n)
 }
 
-// grant gives the requesting L1 its copy per MESI and replies with a fill.
-// The caller owns (and afterwards releases) req.
-func (l *LLC) grant(ln *Line, req *mem.Request) {
+// grant gives the requesting L1 its copy of slot s per MESI and replies
+// with a fill. The caller owns (and afterwards releases) req.
+func (l *LLC) grant(s int, req *mem.Request) {
+	ln := &l.arr.meta[s]
 	var state MESI
 	if req.Excl {
 		// Invalidate all other holders.
@@ -431,117 +436,112 @@ func (l *LLC) grant(ln *Line, req *mem.Request) {
 			if i == req.Core {
 				continue
 			}
-			if ln.Sharers&(1<<uint(i)) != 0 || ln.Owner == i {
-				writer, dirty, present := l.l1s[i].RecallLine(ln.Addr, true, l.recallBuf[:])
+			if ln.sharers&(1<<uint(i)) != 0 || int(ln.owner) == i {
+				writer, dirty, present := l.l1s[i].RecallLine(l.arr.Addr(s), true, l.recallBuf[:])
 				if present && dirty {
-					setLineData(l.Pool, ln, l.recallBuf[:])
-					ln.Writer = writer
-					ln.Dirty = true
+					l.mergeRecalled(s, writer)
 				}
 			}
 		}
-		ln.Sharers = 0
-		ln.Owner = req.Core
+		ln.sharers = 0
+		ln.owner = int8(req.Core)
 		state = Exclusive
-	} else if ln.Sharers == 0 && ln.Owner < 0 {
-		ln.Owner = req.Core
+	} else if ln.sharers == 0 && ln.owner < 0 {
+		ln.owner = int8(req.Core)
 		state = Exclusive
 	} else {
-		ln.Sharers |= 1 << uint(req.Core)
+		ln.sharers |= 1 << uint(req.Core)
 		state = Shared
 	}
 	m := l.getFill()
-	m.addr, m.state = ln.Addr, state
-	if ln.Data != nil {
-		m.data = l.Pool.CloneLine(ln.Data)
-	}
-	m.writer = ln.Writer
-	m.pim, m.scope = ln.PIMEnabled, ln.Scope
+	m.addr, m.state = l.arr.Addr(s), state
+	m.data, m.hasData = l.arr.clone(l.Pool, s), l.arr.hasData(s)
+	m.writer = l.arr.writer(s)
+	m.pim, m.scope = ln.pimEnabled(), ln.scope
 	m.coreID = req.Core
 	l.down[m.coreID].SendCtx(deliverFillMsg, m)
 }
 
+// mergeRecalled takes an owner L1's dirty payload, recalled into
+// recallBuf, into slot s.
+func (l *LLC) mergeRecalled(s int, writer uint64) {
+	l.arr.setData(s, l.recallBuf[:], true, writer)
+	l.arr.meta[s].flags |= flagDirty
+}
+
 // deliverFill sends a bypass (no-cache) fill for a stale miss.
-func (l *LLC) deliverFill(req *mem.Request, state MESI, data []byte, writer uint64, noCache bool) {
+func (l *LLC) deliverFill(req *mem.Request, state MESI, data []byte, writer uint64) {
 	m := l.getFill()
 	m.addr, m.state = req.Line, state
-	if data != nil {
+	m.hasData = data != nil
+	if data != nil && l.arr.pay != nil {
 		m.data = l.Pool.CloneLine(data)
 	}
 	m.writer = writer
 	m.pim, m.scope = req.Scope != mem.NoScope, req.Scope
-	m.noCache = noCache
+	m.noCache = true
 	m.coreID = req.Core
 	l.down[m.coreID].SendCtx(deliverFillMsg, m)
 }
 
 // evictVictim enforces inclusivity: recall every L1 copy, write back dirty
 // data, clear SBV.
-func (l *LLC) evictVictim(v *Line) {
+func (l *LLC) evictVictim(v int) {
+	m := &l.arr.meta[v]
+	addr := l.arr.Addr(v)
 	for i := range l.l1s {
-		if v.Sharers&(1<<uint(i)) != 0 || v.Owner == i {
-			writer, dirty, present := l.l1s[i].RecallLine(v.Addr, true, l.recallBuf[:])
+		if m.sharers&(1<<uint(i)) != 0 || int(m.owner) == i {
+			writer, dirty, present := l.l1s[i].RecallLine(addr, true, l.recallBuf[:])
 			if present && dirty {
-				setLineData(l.Pool, v, l.recallBuf[:])
-				v.Writer = writer
-				v.Dirty = true
+				l.mergeRecalled(v, writer)
 			}
 		}
 	}
-	if v.Dirty {
+	if m.dirty() {
 		l.writebackToMemory(v)
 	}
-	if v.PIMEnabled && l.SBV != nil {
-		l.SBV.OnEvict(l.arr.SetOf(v.Addr))
-	}
-	l.dropLine(v)
-}
-
-// dropLine invalidates a slot, returning its payload buffer to the pool.
-func (l *LLC) dropLine(v *Line) {
-	if v.Data != nil {
-		l.Pool.PutLine(v.Data)
-		v.Data = nil
+	if m.pimEnabled() && l.SBV != nil {
+		l.SBV.OnEvict(l.arr.SetOf(addr))
 	}
 	l.arr.Invalidate(v)
 }
 
-func (l *LLC) writebackToMemory(v *Line) {
+func (l *LLC) writebackToMemory(v int) {
 	l.Writebacks.Inc()
 	r := l.Pool.Get()
-	r.Kind, r.Line, r.Scope = mem.ReqWriteback, v.Addr, v.Scope
-	r.Writer, r.Core = v.Writer, -1
-	if v.Data != nil {
-		r.Data = l.Pool.CloneLine(v.Data)
+	r.Kind, r.Line, r.Scope = mem.ReqWriteback, l.arr.Addr(v), l.arr.meta[v].scope
+	r.Writer, r.Core = l.arr.writer(v), -1
+	if r.Data = l.arr.clone(l.Pool, v); r.Data != nil {
 		r.DataPooled = true
 	}
 	l.egressPush(r)
 }
 
-// WritebackFromL1 merges a dirty L1 eviction. State changes are atomic;
-// the link occupancy is charged by the caller's event timing.
-func (l *LLC) WritebackFromL1(coreID int, line mem.LineAddr, data []byte, writer uint64) {
-	ln := l.arr.Peek(line)
-	if !ln.Valid() {
+// writebackFromL1 merges a dirty L1 eviction: has says whether the line
+// has a payload, data holds its bytes when the L1 stores them. State
+// changes are atomic; the link occupancy is charged by the caller's event
+// timing.
+func (l *LLC) writebackFromL1(coreID int, line mem.LineAddr, data []byte, has bool, writer uint64) {
+	s := l.arr.Peek(line)
+	if s < 0 {
 		// Raced with an LLC eviction whose recall already captured the
 		// data; nothing to do.
 		return
 	}
-	setLineData(l.Pool, ln, data)
-	ln.Writer = writer
-	ln.Dirty = true
-	if ln.Owner == coreID {
-		ln.Owner = -1
+	l.arr.setData(s, data, has, writer)
+	m := &l.arr.meta[s]
+	m.flags |= flagDirty
+	if int(m.owner) == coreID {
+		m.owner = -1
 	}
-	ln.Sharers &^= 1 << uint(coreID)
+	m.sharers &^= 1 << uint(coreID)
 }
 
 // handleFlush implements the SW-Flush baseline's cache-line flush.
 func (l *LLC) handleFlush(req *mem.Request) sim.Tick {
 	cost := l.HitLatency
-	ln := l.arr.Peek(req.Line)
-	if ln.Valid() {
-		l.evictVictim(ln) // recalls L1 copies, writes back if dirty
+	if s := l.arr.Peek(req.Line); s >= 0 {
+		l.evictVictim(s) // recalls L1 copies, writes back if dirty
 		cost += l.ScanPerLine
 	}
 	l.ackRequester(req)
@@ -613,15 +613,17 @@ func (l *LLC) scanFlush(scope mem.ScopeID) sim.Tick {
 	for s := scanNext(l.SBV, l.arr.sets, 0); s >= 0; s = scanNext(l.SBV, l.arr.sets, s+1) {
 		scanned++
 		l.victims = l.victims[:0]
-		set := l.arr.set(s)
-		for i := range set {
-			if set[i].valid && set[i].Scope == scope {
-				l.victims = append(l.victims, &set[i])
+		base := s * l.arr.ways
+		tags := l.arr.tags[base : base+l.arr.ways]
+		meta := l.arr.meta[base : base+len(tags)]
+		for i, tag := range tags {
+			if tag != 0 && meta[i].scope == scope {
+				l.victims = append(l.victims, base+i)
 			}
 		}
-		for _, ln := range l.victims {
+		for _, v := range l.victims {
 			flushed++
-			l.evictVictim(ln)
+			l.evictVictim(v)
 		}
 	}
 	l.LinesFlushed.Add(uint64(flushed))
@@ -646,6 +648,9 @@ func (l *LLC) markStaleMisses(scope mem.ScopeID) {
 // and pumps it. Credits against the MC queue guarantee delivery order and
 // acceptance (the LLC is the controller's only producer).
 func (l *LLC) egressPush(req *mem.Request) {
+	if len(l.egress) == cap(l.egress) {
+		l.egress, l.egHead = compact(l.egress, l.egHead)
+	}
 	l.egress = append(l.egress, req)
 	l.pump()
 }
@@ -673,54 +678,16 @@ func (l *LLC) pump() {
 func (l *LLC) EgressBacklog() int { return len(l.egress) - l.egHead }
 
 // HasLine reports LLC presence of a line (tests).
-func (l *LLC) HasLine(line mem.LineAddr) bool { return l.arr.Peek(line).Valid() }
+func (l *LLC) HasLine(line mem.LineAddr) bool { return l.arr.Peek(line) >= 0 }
 
-// LineCount reports valid lines (tests).
-func (l *LLC) LineCount() int { return l.arr.CountValid() }
-
-// L1s exposes the connected L1 caches (system wiring, tests).
-func (l *LLC) L1s() []*L1 { return l.l1s }
-
-// CheckInclusive verifies every valid L1 line is present in the LLC
-// (property tests). It returns the first violating line address.
-func (l *LLC) CheckInclusive() (mem.LineAddr, bool) {
-	for _, l1 := range l.l1s {
-		for i := range l1.arr.lines {
-			ln := &l1.arr.lines[i]
-			if ln.valid && !l.arr.Peek(ln.Addr).Valid() {
-				return ln.Addr, true
-			}
-		}
+// compact moves a full FIFO's unconsumed entries q[head:] to the front of
+// its backing array, so under a steady backlog appends reuse the space
+// consumed entries left instead of growing the array without bound.
+func compact[T any](q []T, head int) ([]T, int) {
+	if head == 0 {
+		return q, head
 	}
-	return 0, false
-}
-
-// CheckSWMR verifies the single-writer/multiple-reader invariant across
-// L1s: a line modified in one L1 appears in no other L1.
-func (l *LLC) CheckSWMR() (mem.LineAddr, bool) {
-	type holder struct{ m, any int }
-	seen := make(map[mem.LineAddr]*holder)
-	for _, l1 := range l.l1s {
-		for i := range l1.arr.lines {
-			ln := &l1.arr.lines[i]
-			if !ln.valid {
-				continue
-			}
-			h := seen[ln.Addr]
-			if h == nil {
-				h = &holder{}
-				seen[ln.Addr] = h
-			}
-			h.any++
-			if ln.State == Modified || ln.State == Exclusive {
-				h.m++
-			}
-		}
-	}
-	for addr, h := range seen {
-		if h.m > 0 && h.any > 1 {
-			return addr, true
-		}
-	}
-	return 0, false
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n], 0
 }

@@ -161,9 +161,8 @@ func TestSBVScanVisitsPopCountSets(t *testing.T) {
 	pimSets := func(arr *setAssoc) int {
 		n := 0
 		for s := 0; s < arr.sets; s++ {
-			set := arr.set(s)
-			for i := range set {
-				if set[i].valid && set[i].PIMEnabled {
+			for i := s * arr.ways; i < (s+1)*arr.ways; i++ {
+				if arr.Valid(i) && arr.meta[i].pimEnabled() {
 					n++
 					break
 				}
@@ -217,5 +216,44 @@ func TestSBVScanVisitsPopCountSets(t *testing.T) {
 		if got := r.llc.SkipRatio.Sum() - before; math.Abs(got-skip) > 1e-12 {
 			t.Fatalf("round %d: skip-ratio sample %v, SBV SkipRatio %v", round, got, skip)
 		}
+	}
+}
+
+// Under a sustained backlog that never drains, the LLC's request queue
+// and its egress toward the memory controller reuse their backing arrays:
+// capacity stays within twice the peak occupancy however many requests
+// pass through.
+func TestLLCQueuesBoundedUnderSustainedBacklog(t *testing.T) {
+	r := newRig(t, core.Atomic, 1)
+	hot := mem.LineAddr(0)
+	r.loadVia(t, 0, hot)
+	peakEgress, passed := 0, 0
+	for tick := 0; tick < 20000; tick++ {
+		// Keep two requests queued. Uncacheable loads (1 cycle at the LLC)
+		// feed the egress faster than the controller drains it; LLC hits
+		// (18 cycles) let it drain. Choosing by the egress backlog holds
+		// it near 32 without ever emptying it.
+		for len(r.llc.queue)-r.llc.qHead < 2 {
+			req := &mem.Request{Kind: mem.ReqLoad, Line: hot, Core: 0}
+			if r.llc.EgressBacklog() < 32 {
+				req.Line = mem.LineAddr((1 + passed%4096) * mem.LineSize)
+				req.Uncacheable = true
+			}
+			passed++
+			r.llc.Receive(req)
+		}
+		if _, err := r.k.RunUntil(r.k.Now() + 1); err != nil {
+			t.Fatal(err)
+		}
+		if tick > 1000 && r.llc.EgressBacklog() == 0 {
+			t.Fatalf("tick %d: egress drained; the backlog is not sustained", tick)
+		}
+		peakEgress = max(peakEgress, r.llc.EgressBacklog())
+	}
+	if c := cap(r.llc.queue); c > 2*r.llc.QueuePeak {
+		t.Errorf("request queue capacity %d after %d requests, peak occupancy %d", c, passed, r.llc.QueuePeak)
+	}
+	if c := cap(r.llc.egress); c > 2*peakEgress {
+		t.Errorf("egress capacity %d after %d requests, peak backlog %d", c, passed, peakEgress)
 	}
 }

@@ -46,23 +46,21 @@ const (
 // Kernel is a discrete-event scheduler. The zero value is not usable; use
 // NewKernel.
 //
-// The pending set is split three ways, cheapest structure first:
+// The pending set is split two ways, cheapest structure first:
 //
-//   - a FIFO of current-tick entries. Zero-delay events scheduled while the
-//     tick executes append in O(1), and firing is a bump of an index — the
-//     same-tick cascades the CPU cores and caches generate bypass every
-//     ordered structure.
 //   - a timing wheel of wheelSize per-tick buckets with an occupancy
 //     bitmap. Scheduling within the horizon is an append to
-//     wheel[when%wheelSize]; entering a tick splices the whole bucket onto
-//     the FIFO in one copy (the old kernel paid one heap pop — sift-down
-//     and (time,seq) comparisons included — per same-tick event, ~7% flat
-//     in the profile). Finding the next non-empty tick is a bitmap scan,
-//     a handful of word tests for the usual near-future event.
+//     wheel[when%wheelSize]. The current tick's bucket is also its FIFO:
+//     it fires in place by index, and zero-delay events scheduled while
+//     the tick executes append to it. No future event can land there,
+//     because 0 < when-now < wheelSize maps to every bucket but the
+//     current one. Finding the next non-empty tick is a bitmap scan, a
+//     handful of word tests for the usual near-future event.
 //   - a 4-ary min-heap over a pooled, index-stable arena for the rare
 //     events scheduled >= wheelSize ticks ahead (refresh timers, watchdog
-//     deadlines). Heap events never migrate: entering their tick drains
-//     them straight to the FIFO.
+//     deadlines). Heap events never migrate early: entering their tick
+//     merges them in front of the tick's bucket through a reused spill
+//     slice.
 //
 // Determinism semantics are unchanged from the original binary-heap
 // kernel: events fire in (time, then schedule sequence) order. Bucket
@@ -75,17 +73,17 @@ type Kernel struct {
 	seq     uint64
 	stopped bool
 
-	wheel      [wheelSize][]fifoEntry // per-tick buckets, horizon wheelSize
-	occ        [wheelSize / 64]uint64 // occupancy bitmap over buckets
+	// wheel holds per-tick buckets, horizon wheelSize; occ and wheelCount
+	// cover the future buckets only, not the one of the current tick.
+	wheel      [wheelSize][]fifoEntry
+	occ        [wheelSize / 64]uint64
 	wheelCount int
+	fhead      int         // next unfired entry of the current tick's bucket
+	spill      []fifoEntry // reused buffer for merging heap events into a bucket
 
 	arena []event  // index-stable pooled storage for far-future events
 	free  []uint32 // recycled arena slots
 	heap  []uint32 // 4-ary min-heap of arena indices
-
-	fifo     []fifoEntry // events of the current tick, in sequence order
-	fhead    int         // next unfired fifo entry
-	fifoTick Tick        // tick the fifo entries belong to
 
 	// EventLimit, when non-zero, aborts Run with ErrEventLimit after that
 	// many events have fired. It is a watchdog against scheduling bugs
@@ -102,7 +100,6 @@ func NewKernel() *Kernel {
 	k := &Kernel{
 		arena: make([]event, 0, 64),
 		heap:  make([]uint32, 0, 64),
-		fifo:  make([]fifoEntry, 0, 64),
 	}
 	// Seed every bucket with capacity from one contiguous backing array so
 	// a bucket's first events don't each pay a small allocation; a bucket
@@ -156,22 +153,23 @@ func (k *Kernel) ScheduleAtCtx(when Tick, fn func(any), ctx any) {
 	if when < k.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", when, k.now))
 	}
-	if when == k.now {
-		// Same-tick fast path. The invariant making this correct: neither
-		// the wheel nor the heap ever holds an event for the current tick
-		// (entering a tick drains both, and past times panic above), so
-		// this event belongs at the FIFO tail.
-		k.fifo = append(k.fifo, fifoEntry{fn: fn, ctx: ctx})
-		k.fifoTick = k.now
-		return
-	}
-	if when-k.now < wheelSize {
+	if d := when - k.now; d < wheelSize {
+		// d == 0 appends to the current tick's bucket, which only ever
+		// holds current-tick events; it is not counted as a future bucket.
 		b := uint32(when) & wheelMask
 		k.wheel[b] = append(k.wheel[b], fifoEntry{fn: fn, ctx: ctx})
-		k.occ[b>>6] |= 1 << (b & 63)
-		k.wheelCount++
+		if d != 0 {
+			k.occ[b>>6] |= 1 << (b & 63)
+			k.wheelCount++
+		}
 		return
 	}
+	k.pushEvent(when, fn, ctx)
+}
+
+// pushEvent queues fn(ctx) on the far-future heap with a fresh sequence
+// number.
+func (k *Kernel) pushEvent(when Tick, fn func(any), ctx any) {
 	k.seq++
 	idx := k.alloc()
 	k.arena[idx] = event{when: when, seq: k.seq, fn: fn, ctx: ctx}
@@ -241,9 +239,7 @@ func (k *Kernel) bucketTick(b uint32) Tick {
 func (k *Kernel) Run() (Tick, error) {
 	k.stopped = false
 	for !k.stopped {
-		if k.fhead >= len(k.fifo) {
-			k.fifo = k.fifo[:0]
-			k.fhead = 0
+		if !k.tickPending() {
 			t, ok := k.nextPending()
 			if !ok {
 				break
@@ -262,39 +258,29 @@ func (k *Kernel) Run() (Tick, error) {
 func (k *Kernel) RunUntil(deadline Tick) (Tick, error) {
 	k.stopped = false
 	for !k.stopped {
-		if k.fhead >= len(k.fifo) {
-			k.fifo = k.fifo[:0]
-			k.fhead = 0
+		if !k.tickPending() {
 			t, ok := k.nextPending()
 			if !ok {
 				break
 			}
 			if t > deadline {
-				k.now = deadline
+				k.setClock(deadline)
 				return k.now, nil
 			}
 			k.enterTick(t)
 		}
-		if k.fifoTick > deadline {
+		if k.now > deadline {
 			// Only reachable when a stopped run left same-tick events
 			// pending and the deadline is before their tick. Push them back
 			// to the heap: the clock moves to the earlier deadline, so
 			// later scheduling may legally interleave ahead of them. Fresh
 			// sequence numbers are order-preserving: the heap holds no
-			// events for fifoTick (entering the tick drained them), and any
-			// event subsequently scheduled for fifoTick is younger still.
-			for k.fhead < len(k.fifo) {
-				e := &k.fifo[k.fhead]
-				k.seq++
-				idx := k.alloc()
-				k.arena[idx] = event{when: k.fifoTick, seq: k.seq, fn: e.fn, ctx: e.ctx}
-				e.fn, e.ctx = nil, nil
-				k.push(idx)
-				k.fhead++
-			}
-			k.fifo = k.fifo[:0]
+			// events for this tick (entering the tick drained them), and
+			// any event subsequently scheduled for it is younger still.
+			b := uint32(k.now) & wheelMask
+			k.spillToHeap(b, k.fhead, k.now)
 			k.fhead = 0
-			k.now = deadline
+			k.setClock(deadline)
 			return k.now, nil
 		}
 		if err := k.fire(); err != nil {
@@ -307,50 +293,88 @@ func (k *Kernel) RunUntil(deadline Tick) (Tick, error) {
 	return k.now, nil
 }
 
-// enterTick advances the clock to tick t and splices everything scheduled
-// for it onto the same-tick FIFO: first the far-future heap events (in
-// (time, seq) order by pop order — all older than any bucket entry for t),
-// then the wheel bucket in one batched copy.
-func (k *Kernel) enterTick(t Tick) {
-	k.now = t
-	k.fifoTick = t
-	for len(k.heap) > 0 && k.arena[k.heap[0]].when == t {
-		idx := k.pop()
-		ev := &k.arena[idx]
-		k.fifo = append(k.fifo, fifoEntry{fn: ev.fn, ctx: ev.ctx})
-		ev.fn, ev.ctx = nil, nil
-		k.free = append(k.free, idx)
+// tickPending reports whether the current tick's bucket has unfired
+// events. When it has none, the bucket is truncated for reuse: the fired
+// entries are overwritten by the wheel's next rotation rather than cleared
+// one by one.
+func (k *Kernel) tickPending() bool {
+	b := uint32(k.now) & wheelMask
+	if k.fhead < len(k.wheel[b]) {
+		return true
 	}
+	k.wheel[b] = k.wheel[b][:0]
+	k.fhead = 0
+	return false
+}
+
+// setClock moves the clock to t, which no pending event precedes. Moving
+// forward, t's bucket is necessarily empty. Moving backward past a stopped
+// tick, it may hold events of tick t+wheelSize; they move to the heap so
+// the bucket again holds only current-tick events.
+func (k *Kernel) setClock(t Tick) {
+	k.now = t
 	b := uint32(t) & wheelMask
-	if bkt := k.wheel[b]; len(bkt) > 0 {
-		k.fifo = append(k.fifo, bkt...)
-		for i := range bkt {
-			bkt[i] = fifoEntry{} // release callback + ctx for the GC
-		}
-		k.wheel[b] = bkt[:0]
+	if n := len(k.wheel[b]); n > 0 {
 		k.occ[b>>6] &^= 1 << (b & 63)
-		k.wheelCount -= len(bkt)
+		k.wheelCount -= n
+		k.spillToHeap(b, 0, t+wheelSize)
 	}
 }
 
-// fire executes the FIFO head, clearing its slot first so the callback and
-// context don't outlive the event.
+// spillToHeap moves bucket b's entries from index from on to the heap at
+// tick when, in order, and empties the bucket.
+func (k *Kernel) spillToHeap(b uint32, from int, when Tick) {
+	bkt := k.wheel[b]
+	for _, e := range bkt[from:] {
+		k.pushEvent(when, e.fn, e.ctx)
+	}
+	clear(bkt)
+	k.wheel[b] = bkt[:0]
+}
+
+// enterTick advances the clock to tick t, whose bucket becomes the current
+// one. Far-future heap events for t — all older than any bucket entry for
+// t — are merged in front of the bucket in (time, seq) pop order: the
+// spill slice collects them plus the bucket and then replaces it, and the
+// old bucket array becomes the next spill.
+func (k *Kernel) enterTick(t Tick) {
+	k.now = t
+	b := uint32(t) & wheelMask
+	bkt := k.wheel[b]
+	if len(bkt) > 0 {
+		k.occ[b>>6] &^= 1 << (b & 63)
+		k.wheelCount -= len(bkt)
+	}
+	if len(k.heap) == 0 || k.arena[k.heap[0]].when != t {
+		return
+	}
+	sp := k.spill[:0]
+	for len(k.heap) > 0 && k.arena[k.heap[0]].when == t {
+		idx := k.pop()
+		ev := &k.arena[idx]
+		sp = append(sp, fifoEntry{fn: ev.fn, ctx: ev.ctx})
+		ev.fn, ev.ctx = nil, nil
+		k.free = append(k.free, idx)
+	}
+	k.wheel[b] = append(sp, bkt...)
+	k.spill = bkt[:0]
+}
+
+// fire executes the next event of the current tick's bucket in place.
 func (k *Kernel) fire() error {
-	e := &k.fifo[k.fhead]
-	fn, ctx := e.fn, e.ctx
-	e.fn, e.ctx = nil, nil
+	e := k.wheel[uint32(k.now)&wheelMask][k.fhead]
 	k.fhead++
 	k.fired++
 	if k.EventLimit != 0 && k.fired > k.EventLimit {
 		return ErrEventLimit
 	}
-	fn(ctx)
+	e.fn(e.ctx)
 	return nil
 }
 
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int {
-	return len(k.heap) + k.wheelCount + len(k.fifo) - k.fhead
+	return len(k.heap) + k.wheelCount + len(k.wheel[uint32(k.now)&wheelMask]) - k.fhead
 }
 
 // less orders arena indices by (time, sequence).

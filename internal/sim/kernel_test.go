@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -224,5 +225,154 @@ func TestRandForkIndependent(t *testing.T) {
 	f := r.Fork()
 	if f.Uint64() == r.Uint64() {
 		t.Fatal("fork mirrors parent")
+	}
+}
+
+// A far-future heap event and bucket events for the same tick: the heap
+// event was scheduled first, so it fires first, and a zero-delay event it
+// schedules fires after the bucket's events.
+func TestHeapEventsFireBeforeSameTickBucket(t *testing.T) {
+	k := NewKernel()
+	var got []string
+	at := Tick(wheelSize + 5)
+	k.ScheduleAt(at, func() {
+		got = append(got, "heap")
+		k.Schedule(0, func() { got = append(got, "cascade") })
+	})
+	k.ScheduleAt(10, func() {
+		k.ScheduleAt(at, func() { got = append(got, "bucket1") })
+		k.ScheduleAt(at, func() { got = append(got, "bucket2") })
+	})
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := strings.Join(got, ","); s != "heap,bucket1,bucket2,cascade" {
+		t.Fatalf("order %s, want heap,bucket1,bucket2,cascade", s)
+	}
+	if k.Now() != at {
+		t.Fatalf("now = %d, want %d", k.Now(), at)
+	}
+}
+
+// A run stopped mid-tick leaves the tick's remaining events pending.
+// RunUntil with a later deadline fires them in order; one with an earlier
+// deadline moves the clock back, and events scheduled then fire first.
+func TestRunUntilAfterMidTickStop(t *testing.T) {
+	k := NewKernel()
+	var got []string
+	var at []Tick
+	rec := func(name string) func() {
+		return func() { got, at = append(got, name), append(at, k.Now()) }
+	}
+	k.ScheduleAt(10, func() {
+		rec("a")()
+		k.Stop()
+		// Lands in bucket 6 of the wheel, which the backward move below
+		// makes the current bucket.
+		k.ScheduleAt(6+wheelSize, rec("far"))
+	})
+	k.ScheduleAt(10, rec("b"))
+	k.ScheduleAt(10, rec("c"))
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := k.Pending(); n != 3 {
+		t.Fatalf("pending after stop = %d, want 3", n)
+	}
+	if _, err := k.RunUntil(6); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 6 || k.Pending() != 3 {
+		t.Fatalf("after RunUntil(6): now %d pending %d, want 6 and 3", k.Now(), k.Pending())
+	}
+	k.Schedule(0, rec("now"))
+	k.Schedule(1, rec("next"))
+	if n := k.Pending(); n != 5 {
+		t.Fatalf("pending = %d, want 5", n)
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a", "now", "next", "b", "c", "far"}
+	wantAt := []Tick{10, 6, 7, 10, 10, 6 + wheelSize}
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] || at[i] != wantAt[i] {
+			t.Fatalf("fired %v at %v, want %v at %v", got, at, want, wantAt)
+		}
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("pending = %d after drain", k.Pending())
+	}
+
+	// A stop followed by RunUntil at or past the stopped tick just
+	// finishes the tick.
+	k = NewKernel()
+	got = got[:0]
+	k.ScheduleAt(4, func() { got = append(got, "x"); k.Stop() })
+	k.ScheduleAt(4, func() { got = append(got, "y") })
+	k.ScheduleAt(9, func() { got = append(got, "z") })
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	if s := strings.Join(got, ","); s != "x,y" || k.Now() != 5 || k.Pending() != 1 {
+		t.Fatalf("fired %s, now %d, pending %d; want x,y, 5, 1", s, k.Now(), k.Pending())
+	}
+}
+
+// Pending counts the current tick's unfired events, future buckets and
+// the heap.
+func TestPendingCounts(t *testing.T) {
+	k := NewKernel()
+	fn := func() {}
+	k.Schedule(0, fn)
+	k.Schedule(3, fn)
+	k.Schedule(3, fn)
+	k.Schedule(2*wheelSize, fn)
+	if n := k.Pending(); n != 4 {
+		t.Fatalf("pending = %d, want 4", n)
+	}
+	var during int
+	k.ScheduleAt(3, func() {
+		k.Schedule(0, fn)
+		during = k.Pending()
+	})
+	if _, err := k.RunUntil(3); err != nil {
+		t.Fatal(err)
+	}
+	// At the third tick-3 event: the cascade it queued plus the heap event.
+	if during != 2 {
+		t.Fatalf("pending inside tick = %d, want 2", during)
+	}
+	if n := k.Pending(); n != 1 {
+		t.Fatalf("pending = %d, want 1", n)
+	}
+}
+
+// A steady same-tick cascade fires in place without allocating.
+func TestSameTickCascadeAllocationFree(t *testing.T) {
+	k := NewKernel()
+	left := 0
+	var step func(any)
+	step = func(any) {
+		if left > 0 {
+			left--
+			k.ScheduleCtx(0, step, nil)
+		}
+	}
+	run := func() {
+		left = 64
+		k.ScheduleCtx(1, step, nil)
+		if _, err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*wheelSize; i++ {
+		run() // grow every bucket the cascade visits
+	}
+	if avg := testing.AllocsPerRun(500, run); avg != 0 {
+		t.Fatalf("same-tick cascade allocates %.1f per run, want 0", avg)
 	}
 }

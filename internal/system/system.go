@@ -88,6 +88,12 @@ func New(cfg Config) *System {
 	llc.ScanPerSet = cfg.ScanPerSet
 	llc.ScanPerLine = cfg.ScanPerLine
 	llc.SetScopeBufferGeometry(cfg.LLCScopeBufSets, cfg.LLCScopeBufWays)
+	// Payload bytes and writers matter only to runs that check data or
+	// record happens-before; timing runs keep just the has-data flags.
+	payloads := cfg.Functional || cfg.TrackHB
+	if payloads {
+		llc.StorePayloads()
+	}
 	if cfg.NoScopeBuffer {
 		llc.DisableScopeBuffer()
 	}
@@ -121,6 +127,9 @@ func New(cfg Config) *System {
 	for i := 0; i < cfg.Cores; i++ {
 		l1s[i] = cache.NewL1(k, i, cfg.L1Sets, cfg.L1Ways, cfg.L1HitLatency)
 		l1s[i].Pool = pool
+		if payloads {
+			l1s[i].StorePayloads()
+		}
 		if cfg.Model.ScopeStructuresInAllCaches() {
 			l1s[i].EnableScopeStructures(cfg.L1ScopeBufSets, cfg.L1ScopeBufWays)
 		}

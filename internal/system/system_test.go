@@ -1,6 +1,7 @@
 package system
 
 import (
+	"runtime"
 	"testing"
 
 	"bulkpim/internal/core"
@@ -355,5 +356,22 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
+	}
+}
+
+// A timing system stores no payload bytes and keeps its cache slots in
+// pointer-free arrays: building the Table II machine allocates at most
+// 1.4 MB, most of it the LLC's 32768 slots.
+func TestNewTimingSystemAllocation(t *testing.T) {
+	New(Default())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const n = 5
+	for i := 0; i < n; i++ {
+		New(Default())
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 1_400_000 {
+		t.Fatalf("system.New(Default()) allocates %d bytes, want <= 1400000", per)
 	}
 }

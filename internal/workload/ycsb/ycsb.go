@@ -96,6 +96,12 @@ func ScopeCount(p Params) int {
 	return scopes
 }
 
+// zipfItems is the number of scan base records p's zipfian draws range
+// over: every record a full-length scan can start from.
+func zipfItems(p Params) uint64 {
+	return maxU64(1, uint64(p.Records)-uint64(p.MaxScanRecords))
+}
+
 // New generates the operation sequence for p.
 func New(p Params) *Workload {
 	if p.Records <= 0 || p.Operations <= 0 || p.Threads <= 0 {
@@ -114,7 +120,7 @@ func New(p Params) *Workload {
 	w.permC = 0xD1B54A32D192ED03 % n
 
 	rng := sim.NewRand(p.Seed)
-	zipf := NewZipf(maxU64(1, n-uint64(p.MaxScanRecords)), p.ZipfTheta)
+	zipf := NewZipf(zipfItems(p), p.ZipfTheta)
 	nextInsert := n
 	for i := 0; i < p.Operations; i++ {
 		if rng.Float64() < p.ScanFraction {

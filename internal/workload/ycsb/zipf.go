@@ -29,14 +29,47 @@ type Zipf struct {
 // sums computed so far, ordered by n. A new n resumes from the longest
 // cached prefix below it. The terms are still added one by one from 1 to
 // n in the same order, so a resumed sum is bit-identical to a cold one.
-var zetaCache struct {
+// It starts out holding the committed sums below.
+var zetaCache = struct {
 	sync.Mutex
 	sums map[float64][]zetaSum
-}
+}{sums: map[float64][]zetaSum{committedTheta: committedZeta()}}
 
 type zetaSum struct {
 	n   uint64
 	sum float64
+}
+
+// committedTheta is the skew every shipped plan uses (DefaultParams).
+const committedTheta = 0.99
+
+// committedZetaBits holds the float64 bit patterns of zeta(n, 0.99), as
+// the summation in zeta computes them, for every n a shipped plan builds:
+// 2 (zeta2theta) and zipfItems of each record count in the scales'
+// sweeps, 100K-32M records less MaxScanRecords. A cold build of those
+// generators would otherwise sum up to 32M terms.
+var committedZetaBits = []struct{ n, bits uint64 }{
+	{2, 0x3ff80e3eb6202786},
+	{99_900, 0x40298def30706468},
+	{249_900, 0x402b9f1440a7bcae},
+	{499_900, 0x402d327320c80879},
+	{999_900, 0x402ec8917ae7912f},
+	{1_999_900, 0x403030bdc4f7abca},
+	{3_999_900, 0x4030fe9cfcd0eeda},
+	{7_999_900, 0x4031cde9d7dccb89},
+	{15_999_900, 0x40329ea758f51a19},
+	{23_999_900, 0x4033196e4d4cc79c},
+	{31_999_900, 0x403370d84cd53b39},
+}
+
+// committedZeta returns the committed sums in zetaCache's form, ordered
+// by n.
+func committedZeta() []zetaSum {
+	out := make([]zetaSum, len(committedZetaBits))
+	for i, c := range committedZetaBits {
+		out[i] = zetaSum{c.n, math.Float64frombits(c.bits)}
+	}
+	return out
 }
 
 // zetaPrefix returns the largest cached n' <= n for theta with its sum,

@@ -76,3 +76,37 @@ func TestZetaConcurrentCallersBitIdentical(t *testing.T) {
 		t.Fatalf("%d concurrent zeta calls differ from the cold sum", len(errs))
 	}
 }
+
+// TestZetaCommittedMatchesSummation recomputes every committed zeta with
+// the summation zeta runs — one pass of 32M terms, reading each committed
+// n off the running sum, which equals a cold sum bit for bit — and
+// compares bits.
+func TestZetaCommittedMatchesSummation(t *testing.T) {
+	t.Parallel()
+	sum := 0.0
+	i := uint64(0)
+	for j, c := range committedZetaBits {
+		if j > 0 && c.n <= committedZetaBits[j-1].n {
+			t.Fatalf("committed zeta table not ascending at n=%d", c.n)
+		}
+		for i < c.n {
+			i++
+			sum += 1 / math.Pow(float64(i), committedTheta)
+		}
+		if got := math.Float64bits(sum); got != c.bits {
+			t.Errorf("zeta(%d, %v) sums to %#016x, committed %#016x", c.n, committedTheta, got, c.bits)
+		}
+	}
+}
+
+// A committed zeta is served without summing, and a larger n resumes
+// from the largest committed prefix below it.
+func TestZetaCommittedSeedsCache(t *testing.T) {
+	last := committedZetaBits[len(committedZetaBits)-1]
+	if from, sum := zetaPrefix(last.n, committedTheta); from != last.n || math.Float64bits(sum) != last.bits {
+		t.Fatalf("zeta(%d) not served from the committed table", last.n)
+	}
+	if from, _ := zetaPrefix(150_000, committedTheta); from < 99_900 {
+		t.Fatalf("zeta(150000) resumes from %d, want >= 99900", from)
+	}
+}
