@@ -18,15 +18,27 @@ import (
 // across machines and with pre-runner history.
 var benchOpts = Options{Scale: ScaleBench, Parallelism: 1}
 
-// experimentFigures plans the named experiment, runs it with runPlan
-// and renders every artifact, returning the figures by artifact name.
+// executeResults runs the named experiment's plan through executePlan
+// and indexes every settled key's result.
+func executeResults(name string, opts Options) (*ResultSet, error) {
+	rs := &ResultSet{byKey: map[string]Result{}}
+	_, err := executePlan(name, opts, Shard{}, func(key string, r Result, jobErr error) {
+		if jobErr == nil {
+			rs.byKey[key] = r
+		}
+	})
+	return rs, err
+}
+
+// experimentFigures executes the named experiment's plan and renders
+// every artifact, returning the figures by artifact name.
 func experimentFigures(tb testing.TB, name string, opts Options) map[string][]Figure {
 	tb.Helper()
 	spec, ok := LookupExperiment(name)
 	if !ok {
 		tb.Fatalf("unknown experiment %q", name)
 	}
-	rs, err := executeSpec(spec, opts)
+	rs, err := executeResults(name, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -188,15 +200,15 @@ func BenchmarkAreaModel(b *testing.B) {
 func BenchmarkKernelEventThroughput(b *testing.B) {
 	k := sim.NewKernel()
 	n := 0
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		n++
 		if n < b.N {
-			k.Schedule(1, tick)
+			k.ScheduleCtx(1, tick, nil)
 		}
 	}
 	b.ResetTimer()
-	k.Schedule(1, tick)
+	k.ScheduleCtx(1, tick, nil)
 	if _, err := k.Run(); err != nil {
 		b.Fatal(err)
 	}

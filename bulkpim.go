@@ -215,7 +215,8 @@ type (
 // the jobs sequentially. A failed job is captured in its JobResult
 // without aborting siblings. Anything jobs share — e.g. one generated
 // workload across model variants — must be read-only; freeze a YCSB
-// workload with its Precompute method before sharing it.
+// workload with its Precompute method before sharing it. Each job's
+// Run is released once it settles, so a []Job serves one batch.
 func RunJobs(jobs []Job, opts JobOptions) []JobResult { return runner.RunJobs(jobs, opts) }
 
 // SimJobs lowers declarative job specs into runnable jobs.
@@ -223,15 +224,6 @@ func SimJobs(specs []SimJob) []Job { return runner.SimJobs(specs) }
 
 // SummarizeJobs folds a batch into its accounting.
 func SummarizeJobs(rs []JobResult) JobSummary { return runner.Summarize(rs) }
-
-// WorkerPool is a shared worker pool: several concurrent RunJobs
-// batches can submit to one pool (JobOptions.Pool), bounding total
-// simulation concurrency suite-wide. RunAll uses one internally.
-type WorkerPool = runner.Pool
-
-// NewWorkerPool starts a pool of `parallelism` workers (<= 0 =
-// GOMAXPROCS). Close it to release them.
-func NewWorkerPool(parallelism int) *WorkerPool { return runner.NewPool(parallelism) }
 
 // ---- persistent result cache ----
 

@@ -18,14 +18,7 @@ import (
 // canonical order.
 func runAllReports(t *testing.T, cache *ResultCache) string {
 	t.Helper()
-	var b strings.Builder
-	opts := Options{Scale: ScaleSmoke, Cache: cache}
-	if _, err := RunAll(opts, func(name, report string) {
-		b.WriteString("==== " + name + " ====\n" + report + "\n")
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
+	return runAllReport(t, Options{Scale: ScaleSmoke, Cache: cache})
 }
 
 // TestWarmCacheByteIdenticalReports is the memoization contract: the
@@ -66,23 +59,30 @@ func TestWarmCacheByteIdenticalReports(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllFullyHit is the fingerprint-level Flight dedup
-// follow-through (ROADMAP item closed by this PR): a cold single-
-// process `-exp all` run computes each distinct fingerprint exactly
+// TestWarmRunAllFullyHit pins the local executor's fingerprint dedup:
+// a cold StreamReport("all") runs each distinct fingerprint exactly
 // once — aliased keys (fig9-ycsb, the ablation baseline, the sizing
-// defaults all planning the suite's most expensive simulation) ride
-// their Flight primary instead of recomputing — yet still leaves a
-// cache entry under EVERY planned (key, fingerprint) identity, so a
-// warm re-run is 100%-hit and byte-identical.
+// defaults all planning the suite's most expensive simulation) are
+// fanned out from the one result instead of recomputed — yet writes a
+// cache entry under EVERY planned (key, fingerprint) identity, each
+// exactly once, so a warm re-run is 100%-hit and byte-identical.
 func TestWarmRunAllFullyHit(t *testing.T) {
 	cache, err := OpenResultCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cache.Close()
+	streamAll := func() string {
+		t.Helper()
+		var b strings.Builder
+		if _, err := StreamReport("all", Options{Scale: ScaleSmoke, Cache: cache}, nil, &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
 
 	before := execCount.Load()
-	cold := runAllReports(t, cache)
+	cold := streamAll()
 	executed := execCount.Load() - before
 
 	manifest, err := Manifest("all", Options{Scale: ScaleSmoke})
@@ -90,8 +90,10 @@ func TestWarmRunAllFullyHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	distinct := map[string]bool{}
+	identities := map[string]bool{}
 	for _, j := range manifest {
 		distinct[j.Fingerprint] = true
+		identities[j.Key+"\x00"+j.Fingerprint] = true
 	}
 	if executed != int64(len(distinct)) {
 		t.Fatalf("cold run executed %d simulations, suite has %d distinct fingerprints (aliases must dedup)",
@@ -102,12 +104,19 @@ func TestWarmRunAllFullyHit(t *testing.T) {
 			t.Fatalf("planned identity missing from cache after cold run: %s (%s)", j.Key, j.Fingerprint)
 		}
 	}
+	if stores := cache.Stats().Stores; stores != len(identities) {
+		t.Fatalf("cold run stored %d entries, suite plans %d distinct identities (each once)",
+			stores, len(identities))
+	}
 
 	beforeWarm := cache.Stats()
-	warm := runAllReports(t, cache)
+	warm := streamAll()
 	stats := cache.Stats()
 	if misses := stats.Misses - beforeWarm.Misses; misses != 0 {
 		t.Fatalf("warm run missed the cache %d times, want 0 (100%% hit)", misses)
+	}
+	if stats.Stores != beforeWarm.Stores {
+		t.Fatalf("warm run re-stored entries: %d -> %d", beforeWarm.Stores, stats.Stores)
 	}
 	if cold != warm {
 		t.Fatalf("warm reports differ from cold: cold %d bytes, warm %d bytes", len(cold), len(warm))

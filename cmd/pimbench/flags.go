@@ -72,12 +72,12 @@ func addSnapshotDir(fs *flag.FlagSet, help string) *string {
 }
 
 // addStream declares -stream for the subcommands that render reports
-// (run and coord): emit each figure/table the moment its last job
-// settles instead of batching every report to the end. The assembled
-// stdout bytes stay identical to a batch report; the settle order is
-// logged per artifact on stderr.
+// (run and coord): log each figure/table on stderr the moment its last
+// job settles. run always streams its reports to stdout; coord renders
+// them coordinator-side only with -stream. Either way the assembled
+// stdout bytes stay identical to a batch report.
 func addStream(fs *flag.FlagSet) *bool {
-	return fs.Bool("stream", false, "stream each figure/table to stdout the moment its last job settles (bytes identical to the batch report; settle order logs on stderr)")
+	return fs.Bool("stream", false, "log each figure/table on stderr the moment its last job settles (coord: also render the reports to stdout; bytes identical to the batch report)")
 }
 
 func addFailAfter(fs *flag.FlagSet, help string) *int {

@@ -44,9 +44,10 @@
 //	# ...edit a Config parameter...
 //	pimbench plan -exp all -scale full -json -diff manifest.json
 //
-// Streaming reports (-stream on run and coord) render each figure or
-// table the moment its last job settles — settle order logs on
-// stderr, stdout stays byte-identical to the batch report:
+// Reports stream: `run` renders each figure or table the moment its
+// last job settles, and stdout stays byte-identical to the batch
+// report. -stream logs the settle order on stderr; on coord it renders
+// the reports coordinator-side as workers deliver results:
 //
 //	pimbench run -exp all -scale full -parallel 16 -stream
 //
@@ -244,10 +245,8 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case sharded:
 		runErr = runShard(*f.exp, opts, shard, stderr)
-	case *f.stream || *f.csvDir != "":
-		runErr = streamExperiments(*f.exp, opts, *f.stream, *f.csvDir, stdout, stderr)
 	default:
-		runErr = runExperiments(*f.exp, opts, stdout, stderr)
+		runErr = streamExperiments(*f.exp, opts, *f.stream, *f.csvDir, stdout, stderr)
 	}
 	// Accounting goes to stderr even on failure: a partially-failed
 	// resumed run still reports what it skipped and recomputed.
@@ -718,28 +717,6 @@ func litmusCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runExperiments executes one experiment — or, for "all", every
-// experiment concurrently on one shared worker pool, with a
-// per-experiment timing footer on stderr (wall times vary run to run,
-// so the footer stays out of the byte-stable stdout reports).
-func runExperiments(exp string, opts bulkpim.Options, stdout, stderr io.Writer) error {
-	if exp != "all" {
-		out, err := bulkpim.RunExperiment(exp, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, out)
-		return nil
-	}
-	timings, err := bulkpim.RunAll(opts, func(name, report string) {
-		fmt.Fprintf(stdout, "==== %s ====\n%s\n", name, report)
-	}, func(name string, d time.Duration) {
-		fmt.Fprintf(stderr, "pimbench: %s in %s\n", name, d.Round(time.Millisecond))
-	})
-	fmt.Fprintf(stderr, "pimbench: %s\n", bulkpim.TimingFooter(timings))
-	return err
-}
-
 // logStreamEmit prints one artifact emission's settle-order line on
 // stderr — the wall-clock evidence that figures stream out before the
 // suite finishes (stdout carries only the byte-stable reports).
@@ -751,12 +728,14 @@ func logStreamEmit(e bulkpim.StreamEmit, stderr io.Writer) {
 	fmt.Fprintf(stderr, "pimbench: artifact %s/%s ready (settled #%d)\n", e.Experiment, e.Artifact, e.Seq+1)
 }
 
-// streamExperiments is runExperiments on the streaming path, taken
-// for -stream and -csvdir: artifacts render the moment their last job
-// settles and reach stdout incrementally in canonical order,
-// byte-identical to the batch report for a successful run. logEmits
-// logs each settle on stderr; a non-empty csvDir receives each
-// artifact's figures as CSV files.
+// streamExperiments executes one experiment — or, for "all", the whole
+// suite — and streams its reports: artifacts render the moment their
+// last job settles and reach stdout incrementally in canonical order,
+// byte-identical to the batch report for a successful run. An "all"
+// run ends with the per-experiment timing footer on stderr (wall times
+// vary run to run, so the footer stays out of the byte-stable stdout
+// reports). logEmits (-stream) logs each settle on stderr; a non-empty
+// csvDir receives each artifact's figures as CSV files.
 func streamExperiments(exp string, opts bulkpim.Options, logEmits bool, csvDir string, stdout, stderr io.Writer) error {
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {

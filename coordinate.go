@@ -145,8 +145,8 @@ func procLauncher(opts Options, tmpl string, stderr io.Writer, failWorker, failA
 }
 
 // serialLog returns opts.Log behind a mutex (a no-op when nil): fleets
-// log from every worker goroutine, but Options.Log's contract does not
-// require goroutine-safety (RunAll serializes its calls).
+// and batches log from every worker goroutine, but Options.Log's
+// contract does not require goroutine-safety.
 func serialLog(opts Options) func(format string, args ...any) {
 	if opts.Log == nil {
 		return func(string, ...any) {}

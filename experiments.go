@@ -1,9 +1,8 @@
 package bulkpim
 
 // Shared experiment-harness infrastructure: measurement scales, the
-// Options value threaded through every phase, the runner wiring
-// (parallelism, shared pool, cache and in-flight-dedup hooks), and the
-// suite timing accounting. The experiments themselves are declared in
+// Options value threaded through every phase, and the suite timing
+// accounting. The experiments themselves are declared in
 // the registry (registry.go) with one spec file per family:
 // exp_ycsb.go, exp_tpch.go, exp_litmus.go, exp_tables.go. The
 // distributed plan/shard/merge pipeline on top lives in plan.go.
@@ -60,8 +59,8 @@ func ValidScale(s Scale) bool {
 // Options configures the experiment harness.
 type Options struct {
 	Scale Scale
-	// Log receives progress lines; nil discards them. RunAll serializes
-	// calls across its concurrent experiments, so Log need not be
+	// Log receives progress lines; nil discards them. The executors
+	// serialize calls from their concurrent jobs, so Log need not be
 	// goroutine-safe.
 	Log func(format string, args ...interface{})
 	// Seed lets repeated harness runs vary; 0 uses the default.
@@ -87,17 +86,6 @@ type Options struct {
 	// the store's filesystem — generate each database at most once
 	// suite-wide instead of once per process.
 	Snapshots *SnapshotStore
-	// pool and flight, when non-nil, schedule every sweep of this
-	// options value on one shared worker pool and deduplicate identical
-	// in-flight grid points across experiments (set by RunAll for
-	// suite-wide scheduling).
-	pool   *runner.Pool
-	flight *runner.Flight[Result]
-	// onSettle, when non-nil, observes every job settlement (key,
-	// result, error) as it lands — the streaming-report hook wired by
-	// StreamReport. It is invoked from runner callbacks, possibly for
-	// several experiments at once, so it must be goroutine-safe.
-	onSettle func(key string, r Result, jobErr error)
 }
 
 func (o Options) log(format string, args ...interface{}) {
@@ -111,44 +99,6 @@ func (o Options) seed() uint64 {
 		return 1
 	}
 	return o.Seed
-}
-
-// runnerOpts forwards live per-job progress to the harness log and
-// wires the result cache's lookup/write-back hooks. Under parallelism
-// the completion order (and therefore the log order) varies; results
-// do not.
-func (o Options) runnerOpts() runner.Options[Result] {
-	ro := runner.Options[Result]{
-		Parallelism: o.Parallelism,
-		Pool:        o.pool,
-		Flight:      o.flight,
-		OnResult: func(done, total int, r runner.JobResult[Result]) {
-			if o.onSettle != nil {
-				o.onSettle(r.Key, r.Value, r.Err)
-			}
-			if r.Err != nil {
-				o.log("[%d/%d] %s FAILED: %v", done, total, r.Key, r.Err)
-				return
-			}
-			cached := ""
-			if r.Cached {
-				cached = " (cached)"
-			}
-			o.log("[%d/%d] %s cycles=%d wall=%s%s", done, total, r.Key,
-				r.Value.Cycles, r.Wall.Round(time.Millisecond), cached)
-		},
-	}
-	if c := o.Cache; c != nil {
-		ro.Lookup = c.Lookup
-		ro.Store = func(key, fingerprint string, v Result) {
-			// A failed write-back only costs a future recompute; it is
-			// counted in the cache stats and logged, never fatal.
-			if err := c.Store(key, fingerprint, v); err != nil {
-				o.log("cache store %s: %v", key, err)
-			}
-		}
-	}
-	return ro
 }
 
 // collectErrs folds per-job failures into one error, each reported
@@ -216,15 +166,12 @@ func (o Options) lastRecordsParams() ycsb.Params {
 	return o.ycsbParams(counts[len(counts)-1], nil)
 }
 
-// ExperimentTiming is one experiment's wall-clock accounting inside a
-// RunAll suite: start-of-experiment to last-report, measured while the
-// experiment shares the suite pool with its siblings. Concurrent
-// experiments overlap, so Wall includes time queued behind other
-// experiments' jobs and the suite's walls sum to more than its elapsed
-// time — read them as completion latency, not exclusive compute (the
-// per-sweep runner.Summary in the -v log reports compute). Timing is
-// always collected — regardless of any timed callback — and returned
-// so callers can render a report footer.
+// ExperimentTiming is one experiment's completion time inside an "all"
+// run: from the start of the run to the moment the experiment's last
+// artifact was emitted. The suite executes as one deduplicated batch,
+// so experiments overlap and their walls sum to more than the run's
+// elapsed time — read them as completion latency, not exclusive
+// compute (the batch's runner.Summary in the -v log reports compute).
 type ExperimentTiming struct {
 	Name string
 	Wall time.Duration
@@ -234,8 +181,8 @@ type ExperimentTiming struct {
 // suitable for a report footer. Wall times vary run to run, so the
 // footer belongs next to the other accounting (stderr in pimbench),
 // not inside the byte-stable experiment reports. total sums the
-// overlapping per-experiment walls; it exceeds the suite's elapsed
-// time whenever experiments ran concurrently.
+// overlapping per-experiment completion times; it exceeds the run's
+// elapsed time whenever more than one experiment ran.
 func TimingFooter(timings []ExperimentTiming) string {
 	var b strings.Builder
 	b.WriteString("timing (overlapping):")

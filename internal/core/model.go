@@ -122,11 +122,6 @@ func (m Model) RequiresACK() bool { return m == Atomic || m == Store || m == Sco
 // with the op; only the four proposed models do it.
 func (m Model) FlushesLLCOnPIMOp() bool { return m >= Atomic }
 
-// RoutesPIMThroughL1 reports whether PIM ops must traverse every cache
-// level (without flushing them) so that scope-fences can order them; true
-// only for the scope-relaxed model (§V-E).
-func (m Model) RoutesPIMThroughL1() bool { return m == ScopeRelaxed }
-
 // ScopeStructuresInAllCaches reports whether every cache level carries a
 // scope buffer and SBV (scope-relaxed), or only the LLC (Table I).
 func (m Model) ScopeStructuresInAllCaches() bool { return m == ScopeRelaxed }

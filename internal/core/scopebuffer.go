@@ -98,9 +98,6 @@ func (b *ScopeBuffer) Len() int {
 	return n
 }
 
-// Capacity returns sets*ways.
-func (b *ScopeBuffer) Capacity() int { return b.sets * b.ways }
-
 // Bits returns the SRAM storage the structure needs, for the area model:
 // per entry, a scope tag (scopeIDBits minus the index bits), a valid bit,
 // and ceil(log2(ways)) LRU bits.

@@ -133,6 +133,3 @@ func (b *Barrier) Arrive(resume func()) {
 		}
 	}
 }
-
-// Waiting reports how many participants are blocked.
-func (b *Barrier) Waiting() int { return b.arrived }

@@ -188,9 +188,6 @@ func (b *Backing) WriterOf(l LineAddr) uint64 {
 	return 0
 }
 
-// PagesAllocated reports how many 4KB pages have been materialized.
-func (b *Backing) PagesAllocated() int { return len(b.pages) }
-
 func le64(p []byte) uint64 {
 	return uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16 | uint64(p[3])<<24 |
 		uint64(p[4])<<32 | uint64(p[5])<<40 | uint64(p[6])<<48 | uint64(p[7])<<56

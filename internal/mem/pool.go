@@ -116,10 +116,3 @@ func (p *RequestPool) CloneLine(src []byte) []byte {
 	copy(b, src)
 	return b
 }
-
-// FreeRequests reports the current free-list depth (tests use it to pin
-// reuse).
-func (p *RequestPool) FreeRequests() int { return len(p.free) }
-
-// FreeLines reports the line free-list depth.
-func (p *RequestPool) FreeLines() int { return len(p.lines) }

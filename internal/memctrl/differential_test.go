@@ -19,8 +19,8 @@ import (
 //     through an indexed and a reference controller and requires the
 //     observable outcomes (every completion tick, every counter, the
 //     final clock and event count) to match exactly.
-//   - TestScheduleIndexInvariant hooks the top of every indexed
-//     scheduling pass and asserts that ready-heap membership equals
+//   - TestScheduleIndexInvariant wraps every indexed scheduling pass
+//     and asserts, before the pass runs, that ready-heap membership equals
 //     ¬earlierConflictRef for every queued entry.
 
 // streamSpec describes one request of a randomized stream.
@@ -225,7 +225,8 @@ func TestScheduleIndexInvariant(t *testing.T) {
 		specs := randStream(rng, 10+rng.Intn(40))
 		passes := 0
 		hook := func(c *Controller) {
-			c.onPass = func() {
+			indexed := c.pass
+			c.pass = func() {
 				passes++
 				readyCount := 0
 				for e := c.qHead; e != nil; e = e.qNext {
@@ -246,6 +247,7 @@ func TestScheduleIndexInvariant(t *testing.T) {
 					t.Fatalf("seed %d: heap holds %d entries, %d queued entries are ready",
 						seed, len(c.ready), readyCount)
 				}
+				indexed()
 			}
 		}
 		runStream(t, specs, false, 1, hook)

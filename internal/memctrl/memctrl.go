@@ -13,7 +13,7 @@
 // chain and per-scope chain in arrival order, so readiness is an O(1)
 // head check, and a seq-ordered ready heap is maintained incrementally on
 // Enqueue / unlink / pimCompleted. The retained reference scan
-// (earlierConflictRef, refsched.go) pins the semantics: the differential
+// (earlierConflictRef, refsched_test.go) pins the semantics: the differential
 // property tests assert that the indexed scheduler issues exactly what
 // the linear scan would, over randomized request streams.
 package memctrl
@@ -97,15 +97,10 @@ type Controller struct {
 	scheduling bool
 	rerun      bool
 
-	// refSched switches the controller to the retained linear-scan
-	// reference scheduler (refsched.go); used by the differential tests
-	// and BenchmarkScheduleRef.
-	refSched bool
-
-	// onPass, when set (tests), runs at the top of every indexed
-	// scheduling pass — the point where the ready heap must agree with
-	// the reference conflict scan.
-	onPass func()
+	// pass is one scheduling pass, run under schedule()'s re-entrancy
+	// guard: indexedPass, unless a test swaps in the reference scan or
+	// wraps the pass to check its invariants.
+	pass func()
 
 	// outstanding per-scope PIM ops (indexed by ScopeID+1), in
 	// acceptance order, from acceptance until PIM-module completion.
@@ -177,6 +172,7 @@ func New(k *sim.Kernel, module *pim.Module, backing *mem.Backing) *Controller {
 	c.bankFree = make([]sim.Tick, c.Banks)
 	c.finishFn = func(ctx any) { c.finishDRAM(ctx.(*entry)) }
 	c.schedFn = func(any) { c.schedule() }
+	c.pass = c.indexedPass
 	c.AddPIMModule(module)
 	return c
 }
@@ -375,7 +371,7 @@ func (c *Controller) conflictFree(e *entry) bool {
 // markReady promotes a waiting, conflict-free entry onto the ready heap.
 // Safe to call speculatively: it re-checks state and readiness.
 func (c *Controller) markReady(e *entry) {
-	if c.refSched || e.state != stWaiting || !c.conflictFree(e) {
+	if e.state != stWaiting || !c.conflictFree(e) {
 		return
 	}
 	e.state = stReady
@@ -425,13 +421,11 @@ func (c *Controller) schedule() {
 			c.schedule()
 		}
 	}()
-	if c.refSched {
-		c.refSchedulePass()
-		return
-	}
-	if c.onPass != nil {
-		c.onPass()
-	}
+	c.pass()
+}
+
+// indexedPass issues the ready heap's entries in seq order.
+func (c *Controller) indexedPass() {
 	now := c.k.Now()
 	freed := false
 	held := c.held[:0]
@@ -523,7 +517,7 @@ func (c *Controller) pimCompleted(req *mem.Request) {
 	refs[last] = pimRef{} // the slice is reused: drop the stale request
 	refs = refs[:last]
 	c.pimBySeq[int(req.Scope)+1] = refs
-	if headCleared && !c.refSched {
+	if headCleared {
 		// The oldest outstanding PIM seq moved up: memops accepted
 		// before the new head are no longer PIM-gated. They live on the
 		// scope chain in seq order, so walk it up to the new head.

@@ -9,11 +9,12 @@ import "bulkpim/internal/mem"
 // tests pin the indexed scheduler to it over randomized request streams,
 // and BenchmarkScheduleRef measures the cost the indexes remove.
 
-// useReferenceScheduler switches this controller to the linear-scan
-// reference scheduler. Must be called before the first Enqueue; the two
-// schedulers issue identical streams, but their bookkeeping is disjoint.
+// useReferenceScheduler switches this controller's scheduling pass to
+// the linear-scan reference. Call it before the first Enqueue. The
+// indexed bookkeeping keeps running underneath; the reference pass
+// ignores it.
 func (c *Controller) useReferenceScheduler() {
-	c.refSched = true
+	c.pass = c.refSchedulePass
 }
 
 // earlierConflictRef reports whether a queued, unfinished operation that
@@ -48,10 +49,12 @@ func (c *Controller) earlierConflictRef(e *entry) bool {
 }
 
 // refSchedulePass is one pass of the reference scheduler: snapshot the
-// queue, re-check every waiting entry against the linear scan, issue the
+// queue, re-check every unissued entry against the linear scan, issue the
 // conflict-free ones in arrival order. Runs under schedule()'s
-// re-entrancy guard.
+// re-entrancy guard. Entries the indexed bookkeeping marked stReady
+// count as waiting, and the ready heap it fills is dropped unread.
 func (c *Controller) refSchedulePass() {
+	c.ready = c.ready[:0]
 	now := c.k.Now()
 	freed := false
 	snapshot := make([]*entry, 0, c.queueLen)
@@ -59,7 +62,7 @@ func (c *Controller) refSchedulePass() {
 		snapshot = append(snapshot, e)
 	}
 	for _, e := range snapshot {
-		if e.state != stWaiting {
+		if e.state == stIssued {
 			continue
 		}
 		if c.earlierConflictRef(e) {

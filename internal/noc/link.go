@@ -43,21 +43,11 @@ func NewLink(k *sim.Kernel, name string, latency, jitter, cyclesPerMsg sim.Tick,
 	return &Link{Name: name, k: k, Latency: latency, Jitter: jitter, CyclesPerMsg: cyclesPerMsg, rng: rng}
 }
 
-// callPlain adapts a no-argument closure to the (fn, ctx) delivery shape;
-// see sim.ScheduleCtx.
-func callPlain(ctx any) { ctx.(func())() }
-
-// Send schedules fn to run at the destination after link traversal. The
-// returned tick is the delivery time. Messages serialize at the sender
-// (bandwidth), then fly with latency+jitter, so two back-to-back messages
-// can arrive out of order when the second draws a smaller jitter.
-func (l *Link) Send(fn func()) sim.Tick {
-	return l.SendCtx(callPlain, fn)
-}
-
-// SendCtx is Send without the closure: fn(ctx) runs at the destination.
-// Timing (serialization, latency, jitter draw) is identical to Send, so the
-// two are interchangeable without perturbing deterministic runs.
+// SendCtx schedules fn(ctx) to run at the destination after link
+// traversal. The returned tick is the delivery time. Messages serialize
+// at the sender (bandwidth), then fly with latency+jitter, so two
+// back-to-back messages can arrive out of order when the second draws a
+// smaller jitter.
 func (l *Link) SendCtx(fn func(any), ctx any) sim.Tick {
 	now := l.k.Now()
 	start := now
@@ -76,25 +66,10 @@ func (l *Link) SendCtx(fn func(any), ctx any) sim.Tick {
 	return at
 }
 
-// Backlog reports how far ahead of now the link's serialization point is:
-// a congestion signal senders use as flow control.
-func (l *Link) Backlog() sim.Tick {
-	if l.nextFree > l.k.Now() {
-		return l.nextFree - l.k.Now()
-	}
-	return 0
-}
-
-// SendOrdered delivers fn with the link's latency but no jitter and no
-// overtaking relative to other SendOrdered calls: delivery time is
+// SendOrderedCtx delivers fn(ctx) with the link's latency but no jitter
+// and no overtaking relative to other ordered sends: delivery time is
 // monotonically nondecreasing. Used for paths that hardware keeps FIFO
 // (e.g. ACK wires).
-func (l *Link) SendOrdered(fn func()) sim.Tick {
-	return l.SendOrderedCtx(callPlain, fn)
-}
-
-// SendOrderedCtx is SendOrdered without the closure: fn(ctx) runs at the
-// destination, FIFO relative to other ordered sends.
 func (l *Link) SendOrderedCtx(fn func(any), ctx any) sim.Tick {
 	now := l.k.Now()
 	start := now

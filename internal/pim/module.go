@@ -120,14 +120,6 @@ func (m *Module) scope(s mem.ScopeID) *scopeState {
 	return &m.scopes[i]
 }
 
-// ScopeBusy reports whether scope s is executing an op right now (the
-// memory array is occupied, §III). Scopes the module has never seen,
-// NoScope included, are idle.
-func (m *Module) ScopeBusy(s mem.ScopeID) bool {
-	i := int(s) + 1
-	return i >= 0 && i < len(m.scopes) && m.scopes[i].running != nil
-}
-
 // BufferLen returns the number of buffered (not yet started) ops.
 func (m *Module) BufferLen() int { return m.buffered }
 

@@ -6,7 +6,6 @@ package report
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -177,14 +176,4 @@ func GeoMean(vs []float64) float64 {
 		sum += math.Log(v)
 	}
 	return math.Exp(sum / float64(len(vs)))
-}
-
-// SortedKeys returns map keys sorted (stable printing).
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

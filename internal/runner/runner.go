@@ -42,11 +42,10 @@ type JobResult[T any] struct {
 	Key   string
 	Value T
 	Err   error
-	// Cached marks a value served from Options.Lookup or from an
-	// in-flight twin (Options.Flight) instead of executed here. Cached
-	// and computed values are interchangeable: the simulations are
-	// deterministic, so consumers produce byte-identical output either
-	// way.
+	// Cached marks a value served from Options.Lookup instead of
+	// executed here. Cached and computed values are interchangeable:
+	// the simulations are deterministic, so consumers produce
+	// byte-identical output either way.
 	Cached bool
 	// Wall is the job's own wall-clock time (the batch's elapsed time
 	// is bounded by the slowest chain, not this sum).
@@ -56,12 +55,8 @@ type JobResult[T any] struct {
 // Options configures a RunJobs batch.
 type Options[T any] struct {
 	// Parallelism caps concurrent workers; <= 0 means GOMAXPROCS.
-	// Results are identical at every value. Ignored when Pool is set.
+	// Results are identical at every value.
 	Parallelism int
-	// Pool, when non-nil, schedules this batch on a shared worker pool
-	// instead of a private one, bounding concurrency across every batch
-	// sharing the pool (suite-wide scheduling).
-	Pool *Pool
 	// OnResult, when non-nil, is invoked serially as jobs complete (in
 	// completion order, which varies under parallelism). done counts
 	// finished jobs including this one.
@@ -72,14 +67,6 @@ type Options[T any] struct {
 	// Both must be safe for concurrent use.
 	Lookup func(key, fingerprint string) (T, bool)
 	Store  func(key, fingerprint string, v T)
-	// Flight, when non-nil and shared across batches, deduplicates
-	// identical in-flight points by fingerprint — the content address —
-	// so a fingerprinted job whose twin is already running (or
-	// finished) in any sharing batch reuses that outcome instead of
-	// recomputing it, even when the twin was planned under a different
-	// key. Followers' results are written back through Store under
-	// their own keys (same-key twins skip the redundant write-back).
-	Flight *Flight[T]
 }
 
 func (o Options[T]) parallelism() int {
@@ -89,12 +76,15 @@ func (o Options[T]) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// RunJobs executes jobs on a worker pool — a private one, or the
-// shared Options.Pool — and returns one JobResult per job, re-ordered
-// by submission index: the same sequence a sequential loop would
-// produce. One failed point does not abort the batch. With cache hooks
-// set, each fingerprinted job is looked up before executing and its
-// computed result written back after.
+// RunJobs executes jobs on a private worker pool and returns one
+// JobResult per job, re-ordered by submission index: the same sequence
+// a sequential loop would produce. One failed point does not abort the
+// batch. With cache hooks set, each fingerprinted job is looked up
+// before executing and its computed result written back after. Each
+// job's Run is dropped (jobs[i].Run = nil) once the job has settled, so
+// whatever the closure holds — a lazily generated workload — can be
+// collected while the rest of the batch runs; a jobs slice is
+// therefore good for one batch.
 func RunJobs[T any](jobs []Job[T], opts Options[T]) []JobResult[T] {
 	results := make([]JobResult[T], len(jobs))
 	if len(jobs) == 0 {
@@ -107,32 +97,15 @@ func RunJobs[T any](jobs []Job[T], opts Options[T]) []JobResult[T] {
 	exec := func(i int) {
 		start := time.Now()
 		r := JobResult[T]{Index: i, Key: jobs[i].Key}
-		compute := func() (T, error) {
-			v, err := runOne(jobs[i])
-			if err == nil && opts.Store != nil && jobs[i].Fingerprint != "" {
-				opts.Store(jobs[i].Key, jobs[i].Fingerprint, v)
-			}
-			return v, err
-		}
 		if v, ok := cacheLookup(jobs[i], opts); ok {
 			r.Value, r.Cached = v, true
-		} else if opts.Flight != nil && jobs[i].Fingerprint != "" {
-			var primary bool
-			var primaryKey string
-			r.Value, r.Err, primaryKey, primary = opts.Flight.Do(jobs[i].Fingerprint, jobs[i].Key, compute)
-			r.Cached = !primary && r.Err == nil
-			// A follower's key may differ from the primary's — equal
-			// fingerprints content-address one simulation planned under
-			// several keys — so its result is written back under the
-			// requesting key too: every planned identity gets a cache
-			// entry and a warm re-run stays fully hit. Same-key twins
-			// skip the write-back: the primary already stored that line.
-			if r.Cached && opts.Store != nil && jobs[i].Key != primaryKey {
+		} else {
+			r.Value, r.Err = runOne(jobs[i])
+			if r.Err == nil && opts.Store != nil && jobs[i].Fingerprint != "" {
 				opts.Store(jobs[i].Key, jobs[i].Fingerprint, r.Value)
 			}
-		} else {
-			r.Value, r.Err = compute()
 		}
+		jobs[i].Run = nil
 		r.Wall = time.Since(start)
 		results[i] = r
 		if opts.OnResult != nil {
@@ -141,17 +114,6 @@ func RunJobs[T any](jobs []Job[T], opts Options[T]) []JobResult[T] {
 			opts.OnResult(done, len(jobs), results[i])
 			mu.Unlock()
 		}
-	}
-
-	if opts.Pool != nil {
-		var batch sync.WaitGroup
-		batch.Add(len(jobs))
-		for i := range jobs {
-			i := i
-			opts.Pool.Submit(func() { defer batch.Done(); exec(i) })
-		}
-		batch.Wait()
-		return results
 	}
 
 	workers := opts.parallelism()
@@ -266,8 +228,7 @@ type Summary struct {
 	Cached int
 	// Wall sums per-job wall time over executed (non-cached) jobs: the
 	// compute the batch consumed, not its elapsed time. Cached results
-	// are excluded — a cache hit costs nothing, and a Flight follower's
-	// wall is time spent waiting on its primary, not compute.
+	// are excluded — a cache hit costs nothing.
 	Wall time.Duration
 	// Cycles sums simulated cycles over the successful jobs.
 	Cycles sim.Tick

@@ -11,8 +11,8 @@ func BenchmarkKernel(b *testing.B) {
 	k := NewKernel()
 	rng := NewRand(1)
 	remaining := b.N
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		if remaining <= 0 {
 			return
 		}
@@ -21,11 +21,11 @@ func BenchmarkKernel(b *testing.B) {
 		if rng.Uint64n(4) == 0 {
 			delay = 0 // same-tick cascade, the FIFO fast path
 		}
-		k.Schedule(Tick(delay), tick)
+		k.ScheduleCtx(Tick(delay), tick, nil)
 	}
 	for i := 0; i < inflight && remaining > 0; i++ {
 		remaining--
-		k.Schedule(Tick(rng.Uint64n(16)), tick)
+		k.ScheduleCtx(Tick(rng.Uint64n(16)), tick, nil)
 	}
 	b.ResetTimer()
 	if _, err := k.Run(); err != nil {

@@ -81,7 +81,7 @@ func TestKernelEquivalence(t *testing.T) {
 		}
 
 		k := NewKernel()
-		got := run(k.Schedule, k.Now, func() {
+		got := run(func(d Tick, fn func()) { k.ScheduleCtx(d, call, fn) }, k.Now, func() {
 			if _, err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestKernelEquivalenceRunUntil(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		i := i
 		d := Tick(rng.Uint64n(200))
-		k.Schedule(d, func() { got = append(got, i) })
+		k.ScheduleCtx(d, call, func() { got = append(got, i) })
 		ref.schedule(d, func() { want = append(want, i) })
 	}
 	for deadline := Tick(0); deadline < 220; deadline += 13 {
@@ -182,7 +182,7 @@ func TestKernelEquivalenceWideDelays(t *testing.T) {
 		}
 
 		k := NewKernel()
-		got := run(k.Schedule, func() {
+		got := run(func(d Tick, fn func()) { k.ScheduleCtx(d, call, fn) }, func() {
 			if _, err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -203,27 +203,27 @@ func TestKernelEquivalenceWideDelays(t *testing.T) {
 }
 
 // TestScheduleAllocationFree pins the arena pooling: once warm, a
-// schedule/fire cycle performs zero heap allocations (the event closure
-// here is hoisted, exactly like the components' hot paths reuse bound
-// methods).
+// schedule/fire cycle performs zero heap allocations, even with a func()
+// closure riding in the ctx slot (hoisted, exactly like the components'
+// hot paths reuse bound methods).
 func TestScheduleAllocationFree(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
 	for i := 0; i < 2048; i++ {
-		k.Schedule(Tick(i%97), fn)
+		k.ScheduleCtx(Tick(i%97), call, fn)
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		k.Schedule(1, fn)
-		k.Schedule(1, fn)
-		k.Schedule(3, fn)
+		k.ScheduleCtx(1, call, fn)
+		k.ScheduleCtx(1, call, fn)
+		k.ScheduleCtx(3, call, fn)
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("Schedule/Run allocates %.1f objects per cycle, want 0", avg)
+		t.Fatalf("closure ScheduleCtx/Run allocates %.1f objects per cycle, want 0", avg)
 	}
 }
 

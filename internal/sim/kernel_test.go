@@ -6,12 +6,16 @@ import (
 	"testing/quick"
 )
 
+// call runs a closure event: the tests schedule func() literals
+// through the (fn, ctx) event shape with the closure as the ctx.
+func call(ctx any) { ctx.(func())() }
+
 func TestKernelFiresInTimeOrder(t *testing.T) {
 	k := NewKernel()
 	var got []Tick
-	k.Schedule(30, func() { got = append(got, 30) })
-	k.Schedule(10, func() { got = append(got, 10) })
-	k.Schedule(20, func() { got = append(got, 20) })
+	k.ScheduleCtx(30, call, func() { got = append(got, 30) })
+	k.ScheduleCtx(10, call, func() { got = append(got, 10) })
+	k.ScheduleCtx(20, call, func() { got = append(got, 20) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +36,7 @@ func TestKernelFIFOWithinTick(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(5, func() { got = append(got, i) })
+		k.ScheduleCtx(5, call, func() { got = append(got, i) })
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -47,10 +51,10 @@ func TestKernelFIFOWithinTick(t *testing.T) {
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var trace []Tick
-	k.Schedule(1, func() {
+	k.ScheduleCtx(1, call, func() {
 		trace = append(trace, k.Now())
-		k.Schedule(4, func() { trace = append(trace, k.Now()) })
-		k.Schedule(0, func() { trace = append(trace, k.Now()) })
+		k.ScheduleCtx(4, call, func() { trace = append(trace, k.Now()) })
+		k.ScheduleCtx(0, call, func() { trace = append(trace, k.Now()) })
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -66,12 +70,12 @@ func TestKernelNestedScheduling(t *testing.T) {
 func TestKernelZeroDelayRunsAfterQueuedSameTick(t *testing.T) {
 	k := NewKernel()
 	var got []string
-	k.Schedule(2, func() { got = append(got, "a") })
-	k.Schedule(2, func() {
+	k.ScheduleCtx(2, call, func() { got = append(got, "a") })
+	k.ScheduleCtx(2, call, func() {
 		got = append(got, "b")
-		k.Schedule(0, func() { got = append(got, "d") })
+		k.ScheduleCtx(0, call, func() { got = append(got, "d") })
 	})
-	k.Schedule(2, func() { got = append(got, "c") })
+	k.ScheduleCtx(2, call, func() { got = append(got, "c") })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +91,13 @@ func TestKernelZeroDelayRunsAfterQueuedSameTick(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	k := NewKernel()
-	k.Schedule(10, func() {
+	k.ScheduleCtx(10, call, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.ScheduleAt(5, func() {})
+		k.ScheduleAtCtx(5, call, func() {})
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -104,8 +108,8 @@ func TestEventLimit(t *testing.T) {
 	k := NewKernel()
 	k.EventLimit = 100
 	var tick func()
-	tick = func() { k.Schedule(1, tick) }
-	k.Schedule(1, tick)
+	tick = func() { k.ScheduleCtx(1, call, tick) }
+	k.ScheduleCtx(1, call, tick)
 	if _, err := k.Run(); err != ErrEventLimit {
 		t.Fatalf("err = %v, want ErrEventLimit", err)
 	}
@@ -115,7 +119,7 @@ func TestRunUntil(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	for i := Tick(1); i <= 10; i++ {
-		k.Schedule(i*10, func() { fired++ })
+		k.ScheduleCtx(i*10, call, func() { fired++ })
 	}
 	if _, err := k.RunUntil(50); err != nil {
 		t.Fatal(err)
@@ -137,8 +141,8 @@ func TestRunUntil(t *testing.T) {
 func TestStop(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	k.Schedule(1, func() { fired++; k.Stop() })
-	k.Schedule(2, func() { fired++ })
+	k.ScheduleCtx(1, call, func() { fired++; k.Stop() })
+	k.ScheduleCtx(2, call, func() { fired++ })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +169,7 @@ func TestKernelOrderProperty(t *testing.T) {
 		var fires []fire
 		for i, d := range delays {
 			i, d := i, d
-			k.Schedule(Tick(d%512), func() { fires = append(fires, fire{k.Now(), i}) })
+			k.ScheduleCtx(Tick(d%512), call, func() { fires = append(fires, fire{k.Now(), i}) })
 		}
 		if _, err := k.Run(); err != nil {
 			return false
@@ -235,13 +239,13 @@ func TestHeapEventsFireBeforeSameTickBucket(t *testing.T) {
 	k := NewKernel()
 	var got []string
 	at := Tick(wheelSize + 5)
-	k.ScheduleAt(at, func() {
+	k.ScheduleAtCtx(at, call, func() {
 		got = append(got, "heap")
-		k.Schedule(0, func() { got = append(got, "cascade") })
+		k.ScheduleCtx(0, call, func() { got = append(got, "cascade") })
 	})
-	k.ScheduleAt(10, func() {
-		k.ScheduleAt(at, func() { got = append(got, "bucket1") })
-		k.ScheduleAt(at, func() { got = append(got, "bucket2") })
+	k.ScheduleAtCtx(10, call, func() {
+		k.ScheduleAtCtx(at, call, func() { got = append(got, "bucket1") })
+		k.ScheduleAtCtx(at, call, func() { got = append(got, "bucket2") })
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -264,15 +268,15 @@ func TestRunUntilAfterMidTickStop(t *testing.T) {
 	rec := func(name string) func() {
 		return func() { got, at = append(got, name), append(at, k.Now()) }
 	}
-	k.ScheduleAt(10, func() {
+	k.ScheduleAtCtx(10, call, func() {
 		rec("a")()
 		k.Stop()
 		// Lands in bucket 6 of the wheel, which the backward move below
 		// makes the current bucket.
-		k.ScheduleAt(6+wheelSize, rec("far"))
+		k.ScheduleAtCtx(6+wheelSize, call, rec("far"))
 	})
-	k.ScheduleAt(10, rec("b"))
-	k.ScheduleAt(10, rec("c"))
+	k.ScheduleAtCtx(10, call, rec("b"))
+	k.ScheduleAtCtx(10, call, rec("c"))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +289,8 @@ func TestRunUntilAfterMidTickStop(t *testing.T) {
 	if k.Now() != 6 || k.Pending() != 3 {
 		t.Fatalf("after RunUntil(6): now %d pending %d, want 6 and 3", k.Now(), k.Pending())
 	}
-	k.Schedule(0, rec("now"))
-	k.Schedule(1, rec("next"))
+	k.ScheduleCtx(0, call, rec("now"))
+	k.ScheduleCtx(1, call, rec("next"))
 	if n := k.Pending(); n != 5 {
 		t.Fatalf("pending = %d, want 5", n)
 	}
@@ -308,9 +312,9 @@ func TestRunUntilAfterMidTickStop(t *testing.T) {
 	// finishes the tick.
 	k = NewKernel()
 	got = got[:0]
-	k.ScheduleAt(4, func() { got = append(got, "x"); k.Stop() })
-	k.ScheduleAt(4, func() { got = append(got, "y") })
-	k.ScheduleAt(9, func() { got = append(got, "z") })
+	k.ScheduleAtCtx(4, call, func() { got = append(got, "x"); k.Stop() })
+	k.ScheduleAtCtx(4, call, func() { got = append(got, "y") })
+	k.ScheduleAtCtx(9, call, func() { got = append(got, "z") })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -327,16 +331,16 @@ func TestRunUntilAfterMidTickStop(t *testing.T) {
 func TestPendingCounts(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
-	k.Schedule(0, fn)
-	k.Schedule(3, fn)
-	k.Schedule(3, fn)
-	k.Schedule(2*wheelSize, fn)
+	k.ScheduleCtx(0, call, fn)
+	k.ScheduleCtx(3, call, fn)
+	k.ScheduleCtx(3, call, fn)
+	k.ScheduleCtx(2*wheelSize, call, fn)
 	if n := k.Pending(); n != 4 {
 		t.Fatalf("pending = %d, want 4", n)
 	}
 	var during int
-	k.ScheduleAt(3, func() {
-		k.Schedule(0, fn)
+	k.ScheduleAtCtx(3, call, func() {
+		k.ScheduleCtx(0, call, fn)
 		during = k.Pending()
 	})
 	if _, err := k.RunUntil(3); err != nil {

@@ -152,10 +152,3 @@ func (t *Tracer) Recent() []Record {
 	out = append(out, t.ring[:t.ringNext]...)
 	return out
 }
-
-// Dump writes the ring to w, oldest first.
-func (t *Tracer) Dump(w io.Writer) {
-	for _, r := range t.Recent() {
-		fmt.Fprintln(w, r)
-	}
-}

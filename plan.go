@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"bulkpim/internal/resultcache"
 	"bulkpim/internal/runner"
@@ -254,9 +255,9 @@ type fpGroup struct {
 // dedupPlan groups a planned suite by fingerprint — the content
 // address, so equal fingerprints under different keys describe the
 // same simulation — and returns the groups in plan order alongside the
-// flat manifest. This is the dedup every executor shares: ExecuteShard
-// and the coordinator both run one simulation per group and fan its
-// result out to the group's keys.
+// flat manifest. This is the dedup every executor shares: executePlan,
+// the coordinator and the serve daemon all run one simulation per
+// group and fan its result out to the group's keys.
 func dedupPlan(planned []plannedExperiment) (groups []*fpGroup, manifest []PlannedJob) {
 	byFP := map[string]*fpGroup{}
 	seen := map[string]bool{}
@@ -356,12 +357,12 @@ func (s Shard) Owns(key string) bool {
 	return s.Count <= 1 || runner.ShardOf(key, s.Count) == s.Index
 }
 
-// ShardSummary accounts one execute-only shard run.
+// ShardSummary accounts one local execution of a planned suite.
 type ShardSummary struct {
 	// Planned counts the suite's manifest entries; Distinct the unique
 	// simulations (one per fingerprint) after dedup; Owned the distinct
 	// simulations this shard executed; Aliased the additional cache
-	// entries written for keys whose fingerprint twin was executed
+	// entries written for keys whose fingerprint twin was computed
 	// here.
 	Planned, Distinct, Owned, Aliased int
 	// Jobs is the executed batch's runner accounting.
@@ -373,17 +374,25 @@ func (s ShardSummary) String() string {
 		s.Owned, s.Distinct, s.Planned, s.Aliased, s.Jobs)
 }
 
-// ExecuteShard is the worker half of a distributed run: it plans the
-// named experiment ("all" for the suite), deduplicates the planned
-// jobs down to distinct simulations, filters to the shard's slice, and
-// executes exactly those — building no reports. Results land in
-// opts.Cache (set one: an execute-only run without a cache computes
-// results and drops them), whose file the coordinator later merges and
-// reports from. With Shard{0, 1} it executes the whole suite — a cache
-// pre-warmer. With opts.Snapshots set, the shard's workloads are
-// loaded from (and published to) the content-addressed snapshot store,
-// so shards sharing a filesystem generate each database at most once
-// between them instead of once per shard process.
+// ExecuteShard is the worker half of a distributed run: it executes the
+// shard's slice of the named experiment ("all" for the suite) and
+// builds no reports. Results land in opts.Cache (set one: an
+// execute-only run without a cache computes results and drops them),
+// whose file the coordinator later merges and reports from. With
+// Shard{0, 1} it executes the whole suite — a cache pre-warmer. With
+// opts.Snapshots set, the shard's workloads are loaded from (and
+// published to) the content-addressed snapshot store, so shards sharing
+// a filesystem generate each database at most once between them
+// instead of once per shard process.
+func ExecuteShard(name string, opts Options, shard Shard) (ShardSummary, error) {
+	return executePlan(name, opts, shard, nil)
+}
+
+// executePlan is the one local executor, behind `run`, `run -shard`,
+// RunExperiment and StreamReport. It plans the named experiment ("all"
+// for the suite), deduplicates the planned jobs down to distinct
+// simulations, runs the ones shard owns as one runner batch, and fans
+// each settled simulation out to every key planned under it.
 //
 // Dedup is by fingerprint, not key: the fingerprint content-addresses
 // the simulation (final config + workload identity), so equal
@@ -391,44 +400,72 @@ func (s ShardSummary) String() string {
 // baseline, the sbsize/multimod default geometries and the largest
 // grid point all describe the same run of the suite's most expensive
 // simulation — execute once. Ownership follows ownedFingerprints (the
-// rule FilterManifest shares); the group's non-canonical keys become
-// aliases whose cache entries are written from the one result, so the
-// coordinator's report pass still hits on every planned key.
-func ExecuteShard(name string, opts Options, shard Shard) (ShardSummary, error) {
+// rule FilterManifest shares). A computed result is written to
+// opts.Cache under every key of its group — the batch's Store hook
+// writes the canonical key, the fan-out the aliases — so a later
+// report pass hits on every planned key. settle, when non-nil, then
+// observes the outcome under each key; its calls are serialized.
+func executePlan(name string, opts Options, shard Shard, settle func(key string, r Result, jobErr error)) (ShardSummary, error) {
 	planned, err := planFor(name, opts)
 	if err != nil {
 		return ShardSummary{}, err
 	}
 	groups, manifest := dedupPlan(planned)
-	var sum ShardSummary
-	sum.Planned = len(manifest)
-	sum.Distinct = len(groups)
-
+	sum := ShardSummary{Planned: len(manifest), Distinct: len(groups)}
 	ownedFP := shard.ownedFingerprints(manifest)
-	var owned []*fpGroup
-	var jobs []SimJob
+	// Only the lowered jobs and the key lists outlive this loop: the
+	// batch releases each job's closure as it settles, so a workload is
+	// collectable once the last job sharing it has run.
+	var jobs []runner.Job[Result]
+	var keys [][]string
 	for _, g := range groups {
-		if !ownedFP[g.fp] {
-			continue
+		if ownedFP[g.fp] {
+			jobs = append(jobs, g.job.Job())
+			keys = append(keys, g.keys)
 		}
-		sum.Owned++
-		owned = append(owned, g)
-		jobs = append(jobs, g.job)
 	}
-	results := runner.RunJobs(runner.SimJobs(jobs), opts.runnerOpts())
-	sum.Jobs = runner.Summarize(results)
-	if opts.Cache != nil {
-		for i, r := range results {
-			if r.Err != nil {
-				continue
+	sum.Owned = len(jobs)
+
+	logf := serialLog(opts)
+	ro := runner.Options[Result]{Parallelism: opts.Parallelism}
+	if c := opts.Cache; c != nil {
+		ro.Lookup = c.Lookup
+		ro.Store = func(key, fingerprint string, v Result) {
+			// A failed write-back only costs a future recompute; it is
+			// counted in the cache stats and logged, never fatal.
+			if err := c.Store(key, fingerprint, v); err != nil {
+				logf("cache store %s: %v", key, err)
 			}
-			for _, key := range owned[i].keys[1:] {
-				sum.Aliased++
-				if err := opts.Cache.Store(key, owned[i].fp, r.Value); err != nil {
-					opts.log("cache store %s: %v", key, err)
+		}
+	}
+	// OnResult is serialized by the batch, so the alias counter needs
+	// no lock and settle sees one settlement at a time. Under
+	// parallelism the completion order (and so the log order) varies;
+	// results do not.
+	ro.OnResult = func(done, total int, r runner.JobResult[Result]) {
+		ks := keys[r.Index]
+		if r.Err != nil {
+			logf("[%d/%d] %s FAILED: %v", done, total, r.Key, r.Err)
+		} else {
+			cached := ""
+			if r.Cached {
+				cached = " (cached)"
+			} else if ro.Store != nil {
+				for _, key := range ks[1:] {
+					sum.Aliased++
+					ro.Store(key, jobs[r.Index].Fingerprint, r.Value)
 				}
 			}
+			logf("[%d/%d] %s cycles=%d wall=%s%s", done, total, r.Key,
+				r.Value.Cycles, r.Wall.Round(time.Millisecond), cached)
+		}
+		if settle != nil {
+			for _, key := range ks {
+				settle(key, r.Value, r.Err)
+			}
 		}
 	}
+	results := runner.RunJobs(jobs, ro)
+	sum.Jobs = runner.Summarize(results)
 	return sum, collectErrs(results)
 }

@@ -5,8 +5,10 @@ package bulkpim
 // must be deterministic, and shards must partition the suite exactly.
 
 import (
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -225,24 +227,82 @@ func TestExecuteShardCoversSuite(t *testing.T) {
 	}
 
 	afterShards := cache.Stats()
-	var warm strings.Builder
-	if _, err := RunAll(opts, func(name, report string) {
-		warm.WriteString("==== " + name + " ====\n" + report + "\n")
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
+	warm := runAllReport(t, opts)
 	stats := cache.Stats()
 	if stats.Misses != afterShards.Misses {
 		t.Fatalf("report pass after sharded execution missed the cache: %+v -> %+v", afterShards, stats)
 	}
 
-	var cold strings.Builder
-	if _, err := RunAll(Options{Scale: ScaleSmoke}, func(name, report string) {
-		cold.WriteString("==== " + name + " ====\n" + report + "\n")
-	}, nil); err != nil {
+	if warm != runAllReport(t, Options{Scale: ScaleSmoke}) {
+		t.Fatal("sharded+cached report differs from direct run")
+	}
+}
+
+// TestExecutePlanFansOutGroups drives executePlan over a two-spec
+// registry whose plans overlap: "ok" and "bad" are each planned under
+// two keys (one simulation, one alias), and "a/ok" is planned twice
+// under the same key. Each fingerprint must run once; a computed
+// result must reach the cache under each key exactly once and settle
+// under every key; a failed one must store nothing and settle its
+// error under every key.
+func TestExecutePlanFansOutGroups(t *testing.T) {
+	var okRuns, badRuns atomic.Int64
+	job := func(key, extra string) SimJob {
+		return SimJob{Key: key, Base: DefaultConfig(), Extra: extra,
+			Execute: func(Config) (Result, error) {
+				if extra == "bad" {
+					badRuns.Add(1)
+					return Result{}, errors.New("injected failure")
+				}
+				okRuns.Add(1)
+				return Result{Cycles: 7}, nil
+			}}
+	}
+	spec := func(name string, jobs ...SimJob) ExperimentSpec {
+		return ExperimentSpec{Name: name, Plan: func(Options) ([]SimJob, error) { return jobs, nil }}
+	}
+	defer func(saved []ExperimentSpec) { registry = saved }(registry)
+	registry = []ExperimentSpec{
+		spec("a", job("a/ok", "ok"), job("a/bad", "bad")),
+		spec("b", job("b/ok", "ok"), job("a/ok", "ok"), job("b/bad", "bad")),
+	}
+	cache, err := OpenResultCache(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.String() != cold.String() {
-		t.Fatal("sharded+cached report differs from direct run")
+	defer cache.Close()
+
+	settled := map[string]error{}
+	sum, err := executePlan("all", Options{Cache: cache, Parallelism: 2}, Shard{},
+		func(key string, r Result, jobErr error) {
+			if _, dup := settled[key]; dup {
+				t.Errorf("%s settled twice", key)
+			}
+			if jobErr == nil && r.Cycles != 7 {
+				t.Errorf("%s settled with %d cycles, want 7", key, r.Cycles)
+			}
+			settled[key] = jobErr
+		})
+	if err == nil || !strings.Contains(err.Error(), "a/bad: injected failure") {
+		t.Fatalf("error %v, want the failed group reported against its canonical key", err)
+	}
+	if okRuns.Load() != 1 || badRuns.Load() != 1 {
+		t.Fatalf("ran ok %d and bad %d times, want each fingerprint once", okRuns.Load(), badRuns.Load())
+	}
+	if sum.Planned != 5 || sum.Distinct != 2 || sum.Owned != 2 || sum.Aliased != 1 {
+		t.Fatalf("summary %+v, want 5 planned, 2 distinct, 2 owned, 1 alias", sum)
+	}
+	for key, wantErr := range map[string]bool{"a/ok": false, "b/ok": false, "a/bad": true, "b/bad": true} {
+		if jobErr, ok := settled[key]; !ok || (jobErr != nil) != wantErr {
+			t.Errorf("%s: settled=%v err=%v, want err=%v", key, ok, jobErr, wantErr)
+		}
+	}
+	if st := cache.Stats(); st.Stores != 2 {
+		t.Fatalf("cache stored %d entries, want the ok result under its 2 keys", st.Stores)
+	}
+	for _, key := range []string{"a/ok", "b/ok"} {
+		if _, ok := cache.Lookup(key, job(key, "ok").FingerprintID()); !ok {
+			t.Errorf("%s missing from the cache", key)
+		}
 	}
 }

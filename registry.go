@@ -13,21 +13,15 @@ package bulkpim
 // down each artifact's key set as results settle and renders it the
 // moment its last job lands. Render returns an artifact's figures, so
 // the text report (reportText) and the CSV files are two formats of
-// one render. RunExperiment, RunAll, the pimbench plan/merge
+// one render. RunExperiment, StreamReport, the pimbench plan/merge
 // subcommands and the -shard filter all resolve experiments through
 // this one table, so the advertised experiment list can never drift
 // from what actually runs.
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
-
-	"bulkpim/internal/runner"
 )
 
 // Artifact is one renderable output of an ExperimentSpec — a figure or
@@ -75,23 +69,8 @@ type ExperimentSpec struct {
 	Render func(opts Options, artifact string, rs *ResultSet) ([]Figure, error)
 }
 
-// Report renders the spec's full printable report: every declared
-// artifact's text, in declaration order. The golden tests pin that a
-// streamed run's artifacts reassemble to exactly these bytes.
-func (s ExperimentSpec) Report(opts Options, rs *ResultSet) (string, error) {
-	var b strings.Builder
-	for _, a := range s.Artifacts(opts) {
-		figs, err := s.Render(opts, a.Name, rs)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(reportText(figs))
-	}
-	return b.String(), nil
-}
-
 // reportText renders figures as report text, one per line — the one
-// text form behind batch reports, streamed artifacts and the daemon's
+// text form behind streamed reports and the daemon's
 // artifact endpoint.
 func reportText(figs []Figure) string {
 	var b strings.Builder
@@ -169,17 +148,6 @@ type ResultSet struct {
 	byKey map[string]Result
 }
 
-// newResultSet indexes a batch's successful results.
-func newResultSet(rs []runner.JobResult[Result]) *ResultSet {
-	s := &ResultSet{byKey: make(map[string]Result, len(rs))}
-	for _, r := range rs {
-		if r.Err == nil {
-			s.byKey[r.Key] = r.Value
-		}
-	}
-	return s
-}
-
 // Lookup returns the result of the job planned under key.
 func (s *ResultSet) Lookup(key string) (Result, bool) {
 	r, ok := s.byKey[key]
@@ -206,8 +174,8 @@ func countExec(f func(Config) (Result, error)) func(Config) (Result, error) {
 
 // registry lists every experiment in canonical suite order. Specs are
 // appended here and nowhere else; Experiments, StandaloneExperiments,
-// RunExperiment, RunAll and the plan/shard pipeline all derive from
-// this table.
+// RunExperiment, StreamReport and the plan/shard pipeline all derive
+// from this table.
 var registry = []ExperimentSpec{
 	fig1Spec(),
 	fig3Spec(),
@@ -267,149 +235,15 @@ func StandaloneExperiments() []string {
 	return out
 }
 
-// runPlan executes planned jobs on the harness runner (parallelism,
-// shared pool, cache and flight hooks all via opts), logs the batch's
-// accounting under label, and indexes the results for the report
-// phase. Per-job failures are folded into the returned error against
-// their keys without discarding siblings.
-func runPlan(opts Options, label string, specs []SimJob) (*ResultSet, error) {
-	results := runner.RunJobs(runner.SimJobs(specs), opts.runnerOpts())
-	opts.log("%s: %s", label, runner.Summarize(results))
-	return newResultSet(results), collectErrs(results)
-}
-
-// executeSpec plans a spec's jobs and runs them; static tables plan
-// none and get an empty result set.
-func executeSpec(spec ExperimentSpec, opts Options) (*ResultSet, error) {
-	if spec.Plan == nil {
-		return &ResultSet{}, nil
-	}
-	jobs, err := spec.Plan(opts)
-	if err != nil {
-		return nil, err
-	}
-	return runPlan(opts, spec.Name, jobs)
-}
-
-// runSpec is the single plan -> execute -> report path every
-// experiment runs through.
-func runSpec(spec ExperimentSpec, opts Options) (string, error) {
-	rs, err := executeSpec(spec, opts)
-	if err != nil {
-		return "", err
-	}
-	return spec.Report(opts, rs)
-}
-
-// RunExperiment dispatches by name through the registry and returns
-// the printable report. "all" runs the whole standalone suite via
-// RunAll.
+// RunExperiment runs the named experiment ("all" for the suite) and
+// returns its printable report: StreamReport into a buffer. The "all"
+// report carries a "==== name ====" header per experiment; the timing
+// footer is not embedded — wall times vary run to run, and the report
+// must stay byte-identical across cold, warm, parallel and sharded
+// runs. On a job failure the report holds every artifact that did not
+// need the failed job, and the error names the job.
 func RunExperiment(name string, opts Options) (string, error) {
-	if strings.ToLower(name) == "all" {
-		// The timing footer is intentionally not embedded in the report:
-		// wall times vary run to run, and the report must stay
-		// byte-identical across cold, warm, parallel and sharded runs.
-		var b strings.Builder
-		if _, err := RunAll(opts, func(name, report string) {
-			fmt.Fprintf(&b, "==== %s ====\n%s\n", name, report)
-		}, nil); err != nil {
-			return b.String(), err
-		}
-		return b.String(), nil
-	}
-	spec, ok := LookupExperiment(name)
-	if !ok {
-		return "", fmt.Errorf("unknown experiment %q (have %v)", name, Experiments())
-	}
-	return runSpec(spec, opts)
-}
-
-// RunAll executes every standalone experiment, handing each name and
-// printable report to emit in the canonical StandaloneExperiments
-// order. Experiments run concurrently — at most opts.Parallelism (or
-// GOMAXPROCS) at a time, so workload generation cannot oversubscribe
-// the machine beyond the cap the pool enforces for simulation — and
-// enqueue their simulation jobs onto one shared worker pool, so the
-// whole suite is bounded by its slowest single point rather than the
-// sum of per-experiment tails. Per-experiment result demultiplexing
-// keeps every report byte-identical to a serial run, and a shared
-// in-flight dedup computes grid points that several experiments
-// overlap on (the Naive baselines) only once. Per-experiment timing is
-// collected unconditionally and returned; timed, when non-nil,
-// additionally observes each experiment as it finishes (in emission
-// order). A nil emit executes the suite without rendering reports (a
-// streaming run renders artifacts as they settle instead). A failed
-// experiment is reported against its name without aborting the
-// others. RunAll resolves every experiment through the
-// registry — the same table RunExperiment dispatches on — and is the
-// single "all" orchestration shared by RunExperiment("all") and
-// cmd/pimbench.
-func RunAll(opts Options, emit func(name, report string), timed func(name string, d time.Duration)) ([]ExperimentTiming, error) {
-	specs := registry
-	pool := runner.NewPool(opts.Parallelism)
-	defer pool.Close()
-	opts.pool = pool
-	opts.flight = runner.NewFlight[Result]()
-	if inner := opts.Log; inner != nil {
-		// Experiments log concurrently; serialize so callers' Log (and
-		// pimbench's -v writer) need not be goroutine-safe.
-		var logMu sync.Mutex
-		opts.Log = func(format string, args ...interface{}) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			inner(format, args...)
-		}
-	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, par)
-
-	type outcome struct {
-		report string
-		err    error
-		wall   time.Duration
-	}
-	outs := make([]outcome, len(specs))
-	ready := make([]chan struct{}, len(specs))
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	for i, spec := range specs {
-		go func(i int, spec ExperimentSpec) {
-			defer close(ready[i])
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			var o outcome
-			if emit != nil {
-				o.report, o.err = runSpec(spec, opts)
-			} else {
-				_, o.err = executeSpec(spec, opts)
-			}
-			o.wall = time.Since(start)
-			outs[i] = o
-		}(i, spec)
-	}
-
-	timings := make([]ExperimentTiming, 0, len(specs))
-	var errs []error
-	for i, spec := range specs {
-		<-ready[i]
-		timings = append(timings, ExperimentTiming{Name: spec.Name, Wall: outs[i].wall})
-		if timed != nil {
-			timed(spec.Name, outs[i].wall)
-		} else {
-			opts.log("%s finished in %s", spec.Name, outs[i].wall.Round(time.Millisecond))
-		}
-		if outs[i].err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", spec.Name, outs[i].err))
-			continue
-		}
-		if emit != nil {
-			emit(spec.Name, outs[i].report)
-		}
-	}
-	return timings, errors.Join(errs...)
+	var b strings.Builder
+	_, err := StreamReport(name, opts, nil, &b)
+	return b.String(), err
 }

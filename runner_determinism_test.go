@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"bulkpim/internal/runner"
 )
 
 // TestRunnerDeterminism runs the same ScaleBench YCSB sweep sequentially
@@ -18,9 +20,14 @@ func TestRunnerDeterminism(t *testing.T) {
 	models := []Model{Naive, SWFlush, Scope}
 	sweep := func(parallelism int) []runRecord {
 		opts := Options{Scale: ScaleBench, Parallelism: parallelism}
-		rs, err := runPlan(opts, "ycsb sweep", planYCSB(opts, "ycsb", models, nil, nil))
-		if err != nil {
+		results := runner.RunJobs(runner.SimJobs(planYCSB(opts, "ycsb", models, nil, nil)),
+			runner.Options[Result]{Parallelism: parallelism})
+		if err := collectErrs(results); err != nil {
 			t.Fatal(err)
+		}
+		rs := &ResultSet{byKey: map[string]Result{}}
+		for _, r := range results {
+			rs.byKey[r.Key] = r.Value
 		}
 		return gridRecords(ycsbGrid(opts, "ycsb", models, nil), rs)
 	}

@@ -7,9 +7,9 @@ package bulkpim
 // is the per-artifact remaining-key countdown fed by job settlements
 // (in-process runner callbacks or coordinator completions), and
 // StreamAssembler reorders the resulting emissions into canonical
-// report order so the incremental output stays byte-identical to the
-// batch report. StreamReport wires both onto a local run; Coordinate
-// accepts a Stream hook for the fleet path (coordinate.go).
+// report order, so the incremental output is the same bytes whatever
+// order jobs settle in. StreamReport wires both onto a local run;
+// Coordinate accepts a Stream hook for the fleet path (coordinate.go).
 
 import (
 	"errors"
@@ -17,6 +17,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"time"
 )
 
 // StreamEmit is one streamed artifact emission: the artifact's
@@ -170,12 +171,10 @@ type streamSlot struct {
 // StreamAssembler reassembles streamed emissions into canonical report
 // order, writing incrementally to w: an artifact's bytes go out as
 // soon as it and everything before it in declaration order are ready.
-// A fully-successful stream therefore produces output byte-identical
-// to the batch report — experiment headers included in "all" mode —
-// while still appearing figure by figure. An artifact that settled
-// with an error is skipped (the run's returned error reports it), so
-// on failure the assembled output diverges from batch exactly like the
-// batch path's own skip-failed-experiments behaviour.
+// A fully-successful stream therefore produces the canonical report —
+// experiment headers included in "all" mode — while still appearing
+// figure by figure. An artifact that settled with an error is skipped
+// (the run's returned error reports it).
 type StreamAssembler struct {
 	w   io.Writer
 	all bool
@@ -253,21 +252,30 @@ func (a *StreamAssembler) Err() error {
 // streaming reports: each artifact is rendered and handed to emit the
 // moment its last job settles (emit may be nil), while w receives the
 // artifacts' bytes in canonical report order, incrementally — for a
-// fully-successful run, exactly the bytes RunExperiment(name) would
-// return. Timings are the per-experiment walls for "all" runs, nil
-// otherwise. The run executes each planned job once and renders each
-// artifact once; a render error is returned when no job failed.
+// fully-successful run, exactly the bytes RunExperiment(name) returns.
+// The plan executes through executePlan, so each distinct simulation
+// runs once however many experiments plan it. Timings are the
+// per-experiment completion times for "all" runs, nil otherwise. A
+// failed job drops only the artifacts that need it; a render error is
+// returned when no job failed.
 func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer) ([]ExperimentTiming, error) {
+	start := time.Now()
 	asm, err := NewStreamAssembler(name, w)
 	if err != nil {
 		return nil, err
 	}
+	// Renders log from the stream and jobs from the batch: one lock
+	// serializes both.
+	opts.Log = serialLog(opts)
+	all := strings.ToLower(name) == "all"
+	completed := map[string]time.Duration{}
 	var renderErrs []error // appended under the stream's emission lock
 	observe := func(e StreamEmit) {
 		asm.Observe(e)
 		if e.Err != nil {
 			renderErrs = append(renderErrs, fmt.Errorf("%s: %w", e.Experiment, e.Err))
 		}
+		completed[e.Experiment] = time.Since(start)
 		if emit != nil {
 			emit(e)
 		}
@@ -276,17 +284,14 @@ func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer)
 	if err != nil {
 		return nil, err
 	}
-	opts.onSettle = stream.Settle
+	sum, runErr := executePlan(name, opts, Shard{}, stream.Settle)
+	opts.log("%s: %s", strings.ToLower(name), sum.Jobs)
 
 	var timings []ExperimentTiming
-	var runErr error
-	if strings.ToLower(name) == "all" {
-		// The assembler already carries every report; RunAll only
-		// executes and keeps its timing/error accounting.
-		timings, runErr = RunAll(opts, nil, nil)
-	} else {
-		spec, _ := LookupExperiment(name)
-		_, runErr = executeSpec(spec, opts)
+	if all {
+		for _, spec := range registry {
+			timings = append(timings, ExperimentTiming{Name: spec.Name, Wall: completed[spec.Name]})
+		}
 	}
 	if werr := asm.Err(); werr != nil {
 		return timings, fmt.Errorf("stream write: %w", werr)
