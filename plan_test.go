@@ -6,6 +6,7 @@ package bulkpim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -247,42 +248,9 @@ func TestExecuteShardCoversSuite(t *testing.T) {
 // error under every key.
 func TestExecutePlanFansOutGroups(t *testing.T) {
 	var okRuns, badRuns atomic.Int64
-	job := func(key, extra string) SimJob {
-		return SimJob{Key: key, Base: DefaultConfig(), Extra: extra,
-			Execute: func(Config) (Result, error) {
-				if extra == "bad" {
-					badRuns.Add(1)
-					return Result{}, errors.New("injected failure")
-				}
-				okRuns.Add(1)
-				return Result{Cycles: 7}, nil
-			}}
-	}
-	spec := func(name string, jobs ...SimJob) ExperimentSpec {
-		return ExperimentSpec{Name: name, Plan: func(Options) ([]SimJob, error) { return jobs, nil }}
-	}
-	defer func(saved []ExperimentSpec) { registry = saved }(registry)
-	registry = []ExperimentSpec{
-		spec("a", job("a/ok", "ok"), job("a/bad", "bad")),
-		spec("b", job("b/ok", "ok"), job("a/ok", "ok"), job("b/bad", "bad")),
-	}
-	cache, err := OpenResultCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cache.Close()
-
-	settled := map[string]error{}
-	sum, err := executePlan("all", Options{Cache: cache, Parallelism: 2}, Shard{},
-		func(key string, r Result, jobErr error) {
-			if _, dup := settled[key]; dup {
-				t.Errorf("%s settled twice", key)
-			}
-			if jobErr == nil && r.Cycles != 7 {
-				t.Errorf("%s settled with %d cycles, want 7", key, r.Cycles)
-			}
-			settled[key] = jobErr
-		})
+	sum, cache, settled, err := executeSpecs(t,
+		[]SimJob{fanOutJob("a/ok", "ok", &okRuns), fanOutJob("a/bad", "bad", &badRuns)},
+		[]SimJob{fanOutJob("b/ok", "ok", &okRuns), fanOutJob("a/ok", "ok", &okRuns), fanOutJob("b/bad", "bad", &badRuns)})
 	if err == nil || !strings.Contains(err.Error(), "a/bad: injected failure") {
 		t.Fatalf("error %v, want the failed group reported against its canonical key", err)
 	}
@@ -301,8 +269,139 @@ func TestExecutePlanFansOutGroups(t *testing.T) {
 		t.Fatalf("cache stored %d entries, want the ok result under its 2 keys", st.Stores)
 	}
 	for _, key := range []string{"a/ok", "b/ok"} {
-		if _, ok := cache.Lookup(key, job(key, "ok").FingerprintID()); !ok {
+		if _, ok := cache.Lookup(key, fanOutJob(key, "ok", &okRuns).FingerprintID()); !ok {
 			t.Errorf("%s missing from the cache", key)
+		}
+	}
+}
+
+// fanOutJob returns a job planned under key whose Execute counts into
+// runs and fails when extra is "bad"; jobs with the same extra share a
+// fingerprint.
+func fanOutJob(key, extra string, runs *atomic.Int64) SimJob {
+	return SimJob{Key: key, Base: DefaultConfig(), Extra: extra,
+		Execute: func(Config) (Result, error) {
+			runs.Add(1)
+			if extra == "bad" {
+				return Result{}, errors.New("injected failure")
+			}
+			return Result{Cycles: 7}, nil
+		}}
+}
+
+// executeSpecs swaps in a registry with one spec per job list, runs
+// executePlan over all of it into a fresh cache, and returns the
+// summary, the cache, the error each key settled with and the batch
+// error. A key settled twice fails the test.
+func executeSpecs(t *testing.T, specs ...[]SimJob) (ShardSummary, *ResultCache, map[string]error, error) {
+	t.Helper()
+	saved := registry
+	t.Cleanup(func() { registry = saved })
+	registry = nil
+	for i, jobs := range specs {
+		jobs := jobs
+		registry = append(registry, ExperimentSpec{Name: fmt.Sprintf("s%d", i),
+			Plan: func(Options) ([]SimJob, error) { return jobs, nil }})
+	}
+	cache, err := OpenResultCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	settled := map[string]error{}
+	sum, err := executePlan("all", Options{Cache: cache, Parallelism: 2}, Shard{},
+		func(key string, r Result, jobErr error) {
+			if _, dup := settled[key]; dup {
+				t.Errorf("%s settled twice", key)
+			}
+			if jobErr == nil && r.Cycles != 7 {
+				t.Errorf("%s settled with %d cycles, want 7", key, r.Cycles)
+			}
+			settled[key] = jobErr
+		})
+	return sum, cache, settled, err
+}
+
+// TestExecutePlanFingerprintDedupAcrossKeys: one fingerprint planned
+// under four keys across two specs runs once, and its result is stored
+// and settled under every key.
+func TestExecutePlanFingerprintDedupAcrossKeys(t *testing.T) {
+	var runs atomic.Int64
+	keys := []string{"alias-0", "alias-1", "alias-2", "alias-3"}
+	sum, cache, settled, err := executeSpecs(t,
+		[]SimJob{fanOutJob(keys[0], "ok", &runs), fanOutJob(keys[1], "ok", &runs)},
+		[]SimJob{fanOutJob(keys[2], "ok", &runs), fanOutJob(keys[3], "ok", &runs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("%d executions for 4 keys of one fingerprint, want 1", runs.Load())
+	}
+	if sum.Planned != 4 || sum.Distinct != 1 || sum.Owned != 1 || sum.Aliased != 3 {
+		t.Fatalf("summary %+v, want 4 planned, 1 distinct, 1 owned, 3 aliases", sum)
+	}
+	if st := cache.Stats(); st.Stores != 4 {
+		t.Fatalf("cache stored %d entries, want one per key (4)", st.Stores)
+	}
+	for _, key := range keys {
+		if jobErr, ok := settled[key]; !ok || jobErr != nil {
+			t.Errorf("%s: settled=%v err=%v, want a result", key, ok, jobErr)
+		}
+		if r, ok := cache.Lookup(key, fanOutJob(key, "ok", &runs).FingerprintID()); !ok || r.Cycles != 7 {
+			t.Errorf("%s: cached=%v cycles=%d, want 7", key, ok, r.Cycles)
+		}
+	}
+}
+
+// TestExecutePlanSameKeyTwinStoresOnce: a key planned twice with one
+// fingerprint (by two specs) is stored and settled once, while an alias
+// of the same fingerprint still gets its own entry.
+func TestExecutePlanSameKeyTwinStoresOnce(t *testing.T) {
+	var runs atomic.Int64
+	sum, cache, settled, err := executeSpecs(t,
+		[]SimJob{fanOutJob("naive", "ok", &runs)},
+		[]SimJob{fanOutJob("naive", "ok", &runs), fanOutJob("alias", "ok", &runs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("%d executions, want 1", runs.Load())
+	}
+	if sum.Planned != 3 || sum.Distinct != 1 || sum.Aliased != 1 {
+		t.Fatalf("summary %+v, want 3 planned, 1 distinct, 1 alias", sum)
+	}
+	if st := cache.Stats(); st.Stores != 2 {
+		t.Fatalf("cache stored %d entries, want exactly one per distinct key (2)", st.Stores)
+	}
+	if len(settled) != 2 || settled["naive"] != nil || settled["alias"] != nil {
+		t.Fatalf("settled %v, want naive and alias once each without error", settled)
+	}
+}
+
+// TestExecutePlanFailedGroupStoresNothing: a failing fingerprint
+// planned under three keys runs once, writes no cache entry under any
+// key, and settles its error under every key.
+func TestExecutePlanFailedGroupStoresNothing(t *testing.T) {
+	var runs atomic.Int64
+	keys := []string{"k-0", "k-1", "k-2"}
+	_, cache, settled, err := executeSpecs(t,
+		[]SimJob{fanOutJob(keys[0], "bad", &runs), fanOutJob(keys[1], "bad", &runs)},
+		[]SimJob{fanOutJob(keys[2], "bad", &runs)})
+	if err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("error %v, want the injected failure", err)
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("%d executions, want 1", runs.Load())
+	}
+	if st := cache.Stats(); st.Stores != 0 {
+		t.Fatalf("failed group written back %d times", st.Stores)
+	}
+	for _, key := range keys {
+		if jobErr, ok := settled[key]; !ok || jobErr == nil {
+			t.Errorf("%s: settled=%v err=%v, want the failure", key, ok, jobErr)
+		}
+		if _, ok := cache.Lookup(key, fanOutJob(key, "bad", &runs).FingerprintID()); ok {
+			t.Errorf("%s found in the cache", key)
 		}
 	}
 }
