@@ -26,7 +26,7 @@ func executeResults(name string, opts Options) (*ResultSet, error) {
 		if jobErr == nil {
 			rs.byKey[key] = r
 		}
-	})
+	}, runLocal)
 	return rs, err
 }
 

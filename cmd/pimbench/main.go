@@ -52,20 +52,21 @@
 //	pimbench run -exp all -scale full -parallel 16 -stream
 //
 // The coordinator automates the whole distributed flow on one machine
-// (and, via -worker-cmd, over ssh-style launchers): it dedups the
-// planned suite by fingerprint and submits each distinct job, with the
-// spec it was planned from, to the same worker pool and `work`
-// subprocesses the serve daemon uses. Idle workers pull the next job,
-// jobs from crashed or erroring workers retry on the survivors (at
-// most 3 attempts each), and every finished result streams into the
-// cache as it lands:
+// (and, via -worker-cmd, over ssh-style launchers). It runs the same
+// plan → dedup → cache lookup → fan-out path as `run`, but submits each
+// distinct job the cache lacks, with the spec it was planned from, to
+// the same worker pool and `work` subprocesses the serve daemon uses.
+// Idle workers pull the next job, jobs from crashed or erroring workers
+// retry on the survivors (at most 3 attempts each), and every finished
+// result streams into the cache as it lands:
 //
 //	pimbench coord -workers 8 -exp all -scale full -cache-dir d
 //	pimbench run -exp all -scale full -cache-dir d        # warm report pass
 //
 // The run survives worker death (it completes as long as one worker
 // lives), and a mid-run kill of the coordinator loses at most the
-// in-flight jobs — re-running resumes from the cache.
+// in-flight jobs — re-running resumes from the cache, dispatching only
+// the fingerprints it lacks.
 //
 // The serve daemon is the coordinator promoted to an always-on service:
 // an HTTP/JSON API over the same cache and a persistent worker fleet.
@@ -93,7 +94,8 @@
 // store: re-runs — and fleet workers sharing the directory — load each
 // database instead of regenerating it, so a warm run performs zero
 // workload generations. `pimbench coord -snapshot-dir d` pre-warms the
-// biggest databases and propagates the store to every worker.
+// biggest databases its dispatched jobs need and propagates the store
+// to every worker.
 // `pimbench snapshot -snapshot-dir d -ls` lists the store; `-gc`
 // garbage-collects it.
 package main

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -784,6 +786,74 @@ func TestCoordStream(t *testing.T) {
 		if !strings.Contains(se, "pimbench: artifact "+a+" ready") {
 			t.Fatalf("missing settle line for %s:\n%s", a, se)
 		}
+	}
+}
+
+// TestCoordReadsCache: coord serves what the cache already holds and
+// dispatches only the rest. A re-run over a complete cache stores
+// nothing and leaves the cache file as it was; a re-run over a cache
+// missing k entries computes exactly those k; and a fully cached run
+// with an empty snapshot store neither pre-warms nor generates a
+// workload, because no group is dispatched.
+func TestCoordReadsCache(t *testing.T) {
+	t.Setenv("PIMBENCH_EXEC", "1")
+	dir := t.TempDir()
+	cacheFile := filepath.Join(dir, "results.jsonl")
+	coord := func(extra ...string) string {
+		t.Helper()
+		var stdout bytes.Buffer
+		var stderr syncBuffer
+		args := append([]string{"coord", "-workers", "2", "-exp", "fig3", "-scale", "smoke",
+			"-cache-dir", dir}, extra...)
+		if code := run(args, nil, &stdout, &stderr); code != 0 {
+			t.Fatalf("pimbench %v: exit %d, stderr:\n%s", args, code, stderr.String())
+		}
+		return stderr.String()
+	}
+	lines := func() []string {
+		t.Helper()
+		b, err := os.ReadFile(cacheFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+		sort.Strings(ls)
+		return ls
+	}
+
+	coord()
+	cold := lines()
+	if len(cold) < 3 {
+		t.Fatalf("cold coord cached %d entries, want at least 3", len(cold))
+	}
+
+	se := coord()
+	if !strings.Contains(se, ", 0 stored,") || strings.Contains(se, "ETA") {
+		t.Fatalf("warm coord dispatched or stored:\n%s", se)
+	}
+	if !strings.Contains(se, "3/3 distinct jobs done") {
+		t.Fatalf("warm coord did not count its cache hits as done:\n%s", se)
+	}
+	if got := lines(); len(got) != len(cold) {
+		t.Fatalf("warm coord grew the cache file from %d to %d lines", len(cold), len(got))
+	}
+
+	const k = 2
+	if err := os.WriteFile(cacheFile, []byte(strings.Join(cold[k:], "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	se = coord()
+	if want := fmt.Sprintf(", %d stored,", k); !strings.Contains(se, want) {
+		t.Fatalf("coord over a cache missing %d entries: want %q in\n%s", k, want, se)
+	}
+	if got := lines(); !reflect.DeepEqual(got, cold) {
+		t.Fatalf("resumed cache holds %d lines, want the cold run's %d", len(got), len(cold))
+	}
+
+	snapDir := t.TempDir()
+	se = coord("-snapshot-dir", snapDir, "-v")
+	if strings.Contains(se, "pre-warmed") || !strings.Contains(se, "; 0 workloads generated ("+snapDir) {
+		t.Fatalf("fully cached coord touched the snapshot store:\n%s", se)
 	}
 }
 

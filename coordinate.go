@@ -1,15 +1,14 @@
 package bulkpim
 
 // Fault-tolerant coordinated execution, built on internal/coord: the
-// coordinator plans the suite, dedups it to distinct simulations
-// (dedupPlan — the same rule the shard pipeline uses), and submits
-// each one, with the spec it was planned from, to a coord.Pool of
-// `pimbench work` subprocesses — the scheduler and worker protocol the
-// serve daemon runs on. Every finished result streams straight into
-// the shared result cache — under the canonical key and every alias —
-// so a mid-run kill loses at most in-flight jobs and a subsequent
-// report pass (pimbench -exp ... -cache-dir ...) is served entirely
-// from cache hits, byte-identical to a single-process run.
+// coordinator runs the suite through executePlan (the plan, dedup,
+// cache lookup and fan-out `run` uses) and submits each distinct
+// simulation the cache lacks, with its spec, to a coord.Pool of `pimbench
+// work` subprocesses: the scheduler and worker protocol the serve daemon
+// runs on. Every finished result streams straight into the result cache
+// under each key planned for it, so a mid-run kill loses at most
+// in-flight jobs, a re-run dispatches only what is missing, and a later
+// report pass is all cache hits, byte-identical to a single-process run.
 
 import (
 	"errors"
@@ -23,6 +22,7 @@ import (
 	"time"
 
 	"bulkpim/internal/coord"
+	"bulkpim/internal/runner"
 )
 
 // CoordOptions configures a coordinated run.
@@ -58,9 +58,9 @@ type CoordOptions struct {
 // CoordSummary accounts one coordinated run.
 type CoordSummary struct {
 	// Planned counts the suite's manifest entries; Distinct the unique
-	// simulations after fingerprint dedup; Done/Failed the settled
-	// tasks; Retried the re-dispatches after worker crashes or job
-	// errors; WorkersLost the workers that failed to launch or died.
+	// simulations after fingerprint dedup; Done/Failed the settled ones,
+	// cache hits included; Retried the re-dispatches after worker crashes
+	// or job errors; WorkersLost the workers that failed to launch or died.
 	Planned, Distinct, Done, Failed, Retried, WorkersLost int
 	// Stored counts cache entries written, aliases included.
 	Stored int
@@ -161,88 +161,56 @@ func serialLog(opts Options) func(format string, args ...any) {
 
 // Coordinate is the coordinator half of `pimbench coord`: an
 // execute-only fleet run of the named experiment ("all" for the suite)
-// whose results land in opts.Cache as they finish. Reports stay with a
-// later warm pass against the same cache. The run completes as long as
-// at least one worker survives; a completed run returns nil even if
-// workers died along the way.
+// through executePlan, dispatching only what opts.Cache lacks. Reports
+// stay with a later warm pass against the same cache (or copts.Stream).
+// The run completes as long as at least one worker survives; a
+// completed run returns nil even if workers died along the way.
 func Coordinate(name string, opts Options, copts CoordOptions) (CoordSummary, error) {
-	var sum CoordSummary
 	if opts.Cache == nil {
-		return sum, errors.New("coordinated run needs Options.Cache: results stream into the shared result cache")
+		return CoordSummary{}, errors.New("coordinated run needs Options.Cache: results stream into the shared result cache")
 	}
-	planned, err := planFor(name, opts)
-	if err != nil {
-		return sum, err
-	}
-	groups, manifest := dedupPlan(planned)
-	sum.Planned, sum.Distinct = len(manifest), len(groups)
-	logf := serialLog(opts)
-
-	// Every task carries the spec the coordinator planned from; the
-	// workers re-derive the same plan from it.
-	spec := &coord.JobSpec{Exp: strings.ToLower(name), Scale: string(opts.Scale), Seed: opts.Seed}
-	tasks := make([]coord.Task, len(groups))
-	keysOf := make(map[string][]string, len(groups))
-	for i, g := range groups {
-		tasks[i] = coord.Task{Key: g.keys[0], Fingerprint: g.fp, Spec: spec}
-		keysOf[g.fp] = g.keys
-	}
-
-	// The streaming countdown listens on the same alias keys the cache
-	// writes below fan out to, so artifacts complete exactly when their
-	// last distinct simulation settles — including ones whose keys this
-	// experiment shares with a sibling's fingerprint group.
-	var stream *ReportStream
+	// One lock serializes the pool's, the fan-out's and the renders' logs.
+	opts.Log = serialLog(opts)
+	// The streaming countdown listens on every key executePlan settles,
+	// aliases included, so an artifact completes with its last group.
+	var settle func(key string, r Result, jobErr error)
 	if copts.Stream != nil {
-		if stream, err = NewReportStream(name, opts, copts.Stream); err != nil {
-			return sum, err
+		stream, err := NewReportStream(name, opts, copts.Stream)
+		if err != nil {
+			return CoordSummary{}, err
 		}
+		settle = stream.Settle
 	}
-
-	// Pre-warm the snapshot store before any worker launches: the
-	// biggest databases this plan references are published once by the
-	// coordinator, so the fleet — sharing the store's filesystem —
-	// loads them instead of racing to regenerate them per worker. The
-	// already-built plan is reused; the suite is not planned twice.
-	if opts.Snapshots != nil {
-		if n := prewarmPlanned(opts, plannedIdentities(planned)); n > 0 {
-			logf("coord: pre-warmed %d workload snapshot(s) into %s", n, opts.Snapshots.Dir())
+	var fleet CoordSummary
+	dispatch := func(opts Options, missed []*fpGroup, done func(runner.JobResult[Result])) error {
+		// Every task carries the spec the coordinator planned from; the
+		// workers re-derive the same plan from it.
+		spec := &coord.JobSpec{Exp: strings.ToLower(name), Scale: string(opts.Scale), Seed: opts.Seed}
+		tasks := make([]coord.Task, len(missed))
+		index := make(map[string]int, len(missed))
+		for i, g := range missed {
+			tasks[i] = coord.Task{Key: g.keys[0], Fingerprint: g.fp, Spec: spec}
+			index[g.fp] = i
 		}
-	}
-
-	// onResult is serialized by the batch, so the summary counters and
-	// the cache appends need no extra locking; streaming each result as
-	// it settles is what bounds a mid-run kill's loss to in-flight jobs.
-	onResult := func(done, total int, o coord.Outcome) {
-		if o.Err != nil {
-			logf("[%d/%d] %s FAILED: %v", done, total, o.Task.Key, o.Err)
-			if stream != nil {
-				for _, key := range keysOf[o.Task.Fingerprint] {
-					stream.Settle(key, Result{}, o.Err)
-				}
-			}
-			return
-		}
-		for _, key := range keysOf[o.Task.Fingerprint] {
-			if err := opts.Cache.Store(key, o.Task.Fingerprint, o.Value); err != nil {
-				logf("cache store %s: %v", key, err)
-			} else {
-				sum.Stored++
+		// Publish the biggest databases the dispatched groups need before
+		// any worker launches, so the fleet — sharing the store's
+		// filesystem — loads them instead of racing to generate them.
+		if opts.Snapshots != nil {
+			if n := prewarmGroups(opts, missed); n > 0 {
+				opts.log("coord: pre-warmed %d workload snapshot(s) into %s", n, opts.Snapshots.Dir())
 			}
 		}
-		if stream != nil {
-			for _, key := range keysOf[o.Task.Fingerprint] {
-				stream.Settle(key, o.Value, nil)
-			}
-		}
-		logf("[%d/%d] %s done on worker %d (attempt %d)",
-			done, total, o.Task.Key, o.Worker, o.Attempts)
+		launch := procLauncher(opts, copts.WorkerCmd, copts.WorkerStderr, copts.FailWorker, copts.FailAfter)
+		var err error
+		fleet, err = runBatch(tasks, copts.Workers, launch, func(_, _ int, o coord.Outcome) {
+			done(runner.JobResult[Result]{Index: index[o.Task.Fingerprint], Key: o.Task.Key, Value: o.Value, Err: o.Err})
+		}, copts.Progress, opts.log)
+		return err
 	}
-
-	launch := procLauncher(opts, copts.WorkerCmd, copts.WorkerStderr, copts.FailWorker, copts.FailAfter)
-	b, err := runBatch(tasks, copts.Workers, launch, onResult, copts.Progress, logf)
-	sum.Done, sum.Failed, sum.Retried, sum.WorkersLost = b.Done, b.Failed, b.Retried, b.WorkersLost
-	return sum, err
+	sum, err := executePlan(name, opts, Shard{}, settle, dispatch)
+	done := sum.Jobs.Jobs - sum.Jobs.Failed
+	return CoordSummary{Planned: sum.Planned, Distinct: sum.Distinct, Done: done, Failed: sum.Jobs.Failed,
+		Retried: fleet.Retried, WorkersLost: fleet.WorkersLost, Stored: done - sum.Jobs.Cached + sum.Aliased}, err
 }
 
 // batch is one coordinated run on a coord.Pool: it serializes the

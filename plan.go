@@ -255,9 +255,9 @@ type fpGroup struct {
 // dedupPlan groups a planned suite by fingerprint — the content
 // address, so equal fingerprints under different keys describe the
 // same simulation — and returns the groups in plan order alongside the
-// flat manifest. This is the dedup every executor shares: executePlan,
-// the coordinator and the serve daemon all run one simulation per
-// group and fan its result out to the group's keys.
+// flat manifest. This is the dedup every executor shares: executePlan
+// (behind run, run -shard and coord) and the serve daemon both run one
+// simulation per group and fan its result out to the group's keys.
 func dedupPlan(planned []plannedExperiment) (groups []*fpGroup, manifest []PlannedJob) {
 	byFP := map[string]*fpGroup{}
 	seen := map[string]bool{}
@@ -385,14 +385,15 @@ func (s ShardSummary) String() string {
 // a filesystem generate each database at most once between them
 // instead of once per shard process.
 func ExecuteShard(name string, opts Options, shard Shard) (ShardSummary, error) {
-	return executePlan(name, opts, shard, nil)
+	return executePlan(name, opts, shard, nil, runLocal)
 }
 
-// executePlan is the one local executor, behind `run`, `run -shard`,
-// RunExperiment and StreamReport. It plans the named experiment ("all"
-// for the suite), deduplicates the planned jobs down to distinct
-// simulations, runs the ones shard owns as one runner batch, and fans
-// each settled simulation out to every key planned under it.
+// executePlan is the one executor behind `run`, `run -shard`,
+// RunExperiment, StreamReport and `coord`. It plans the named
+// experiment ("all" for the suite), deduplicates the planned jobs down
+// to distinct simulations, serves the ones shard owns from opts.Cache
+// where it can, hands the rest to dispatch, and fans each settled
+// simulation out to every key planned under it.
 //
 // Dedup is by fingerprint, not key: the fingerprint content-addresses
 // the simulation (final config + workload identity), so equal
@@ -400,12 +401,12 @@ func ExecuteShard(name string, opts Options, shard Shard) (ShardSummary, error) 
 // baseline, the sbsize/multimod default geometries and the largest
 // grid point all describe the same run of the suite's most expensive
 // simulation — execute once. Ownership follows ownedFingerprints (the
-// rule FilterManifest shares). A computed result is written to
-// opts.Cache under every key of its group — the batch's Store hook
-// writes the canonical key, the fan-out the aliases — so a later
-// report pass hits on every planned key. settle, when non-nil, then
-// observes the outcome under each key; its calls are serialized.
-func executePlan(name string, opts Options, shard Shard, settle func(key string, r Result, jobErr error)) (ShardSummary, error) {
+// rule FilterManifest shares). Each owned group is looked up under its
+// canonical key before dispatch; a hit settles at once. A computed
+// result is written to opts.Cache under every key of its group, so a
+// later report pass hits on every planned key. settle, when non-nil,
+// then observes the outcome under each key; its calls are serialized.
+func executePlan(name string, opts Options, shard Shard, settle func(key string, r Result, jobErr error), dispatch dispatchFunc) (ShardSummary, error) {
 	planned, err := planFor(name, opts)
 	if err != nil {
 		return ShardSummary{}, err
@@ -413,59 +414,91 @@ func executePlan(name string, opts Options, shard Shard, settle func(key string,
 	groups, manifest := dedupPlan(planned)
 	sum := ShardSummary{Planned: len(manifest), Distinct: len(groups)}
 	ownedFP := shard.ownedFingerprints(manifest)
-	// Only the lowered jobs and the key lists outlive this loop: the
-	// batch releases each job's closure as it settles, so a workload is
-	// collectable once the last job sharing it has run.
-	var jobs []runner.Job[Result]
-	var keys [][]string
+	// Only the owned groups' fingerprints and keys outlive this loop, not
+	// their jobs: the dispatcher drops each job as it settles, so a
+	// workload is collectable once the last job sharing it has run.
+	var owned, missed []*fpGroup
+	var results []runner.JobResult[Result]
+	var slot []int // slot[i] is missed[i]'s index in owned
 	for _, g := range groups {
-		if ownedFP[g.fp] {
-			jobs = append(jobs, g.job.Job())
-			keys = append(keys, g.keys)
+		if !ownedFP[g.fp] {
+			continue
 		}
+		r := runner.JobResult[Result]{Index: len(owned), Key: g.keys[0]}
+		if opts.Cache != nil {
+			r.Value, r.Cached = opts.Cache.Lookup(g.keys[0], g.fp)
+		}
+		if !r.Cached {
+			missed, slot = append(missed, g), append(slot, len(owned))
+		}
+		owned, results = append(owned, &fpGroup{fp: g.fp, keys: g.keys}), append(results, r)
 	}
-	sum.Owned = len(jobs)
+	sum.Owned = len(owned)
 
 	logf := serialLog(opts)
-	ro := runner.Options[Result]{Parallelism: opts.Parallelism}
-	if c := opts.Cache; c != nil {
-		ro.Lookup = c.Lookup
-		ro.Store = func(key, fingerprint string, v Result) {
-			// A failed write-back only costs a future recompute; it is
-			// counted in the cache stats and logged, never fatal.
-			if err := c.Store(key, fingerprint, v); err != nil {
-				logf("cache store %s: %v", key, err)
-			}
-		}
-	}
-	// OnResult is serialized by the batch, so the alias counter needs
-	// no lock and settle sees one settlement at a time. Under
-	// parallelism the completion order (and so the log order) varies;
-	// results do not.
-	ro.OnResult = func(done, total int, r runner.JobResult[Result]) {
-		ks := keys[r.Index]
-		if r.Err != nil {
-			logf("[%d/%d] %s FAILED: %v", done, total, r.Key, r.Err)
-		} else {
-			cached := ""
-			if r.Cached {
-				cached = " (cached)"
-			} else if ro.Store != nil {
-				for _, key := range ks[1:] {
-					sum.Aliased++
-					ro.Store(key, jobs[r.Index].Fingerprint, r.Value)
+	done := 0
+	// settleGroup runs serially: for each hit before dispatch, then for
+	// each dispatched outcome in completion order.
+	settleGroup := func(r runner.JobResult[Result]) {
+		g := owned[r.Index]
+		results[r.Index] = r
+		done++
+		switch {
+		case r.Err != nil:
+			logf("[%d/%d] %s FAILED: %v", done, sum.Owned, r.Key, r.Err)
+		case r.Cached:
+			logf("[%d/%d] %s cycles=%d (cached)", done, sum.Owned, r.Key, r.Value.Cycles)
+		default:
+			if c := opts.Cache; c != nil {
+				// A failed write-back only costs a future recompute; it
+				// is counted in the cache stats and logged, never fatal.
+				for _, key := range g.keys {
+					if err := c.Store(key, g.fp, r.Value); err != nil {
+						logf("cache store %s: %v", key, err)
+					}
 				}
+				sum.Aliased += len(g.keys) - 1
 			}
-			logf("[%d/%d] %s cycles=%d wall=%s%s", done, total, r.Key,
-				r.Value.Cycles, r.Wall.Round(time.Millisecond), cached)
+			wall := "" // a fleet result has none: workers do not report it
+			if r.Wall > 0 {
+				wall = " wall=" + r.Wall.Round(time.Millisecond).String()
+			}
+			logf("[%d/%d] %s cycles=%d%s", done, sum.Owned, r.Key, r.Value.Cycles, wall)
 		}
 		if settle != nil {
-			for _, key := range ks {
+			for _, key := range g.keys {
 				settle(key, r.Value, r.Err)
 			}
 		}
 	}
-	results := runner.RunJobs(jobs, ro)
+	for _, r := range results {
+		if r.Cached {
+			settleGroup(r)
+		}
+	}
+	err = dispatch(opts, missed, func(r runner.JobResult[Result]) {
+		r.Index = slot[r.Index]
+		settleGroup(r)
+	})
 	sum.Jobs = runner.Summarize(results)
+	if err != nil {
+		return sum, err
+	}
 	return sum, collectErrs(results)
+}
+
+// dispatchFunc runs the groups the cache missed, hands each outcome to
+// done serially (Index into missed) and returns once all have settled;
+// a non-nil error replaces the per-group failures executePlan reports.
+type dispatchFunc func(opts Options, missed []*fpGroup, done func(runner.JobResult[Result])) error
+
+// runLocal dispatches in process: one runner batch at opts.Parallelism.
+func runLocal(opts Options, missed []*fpGroup, done func(runner.JobResult[Result])) error {
+	jobs := make([]runner.Job[Result], len(missed))
+	for i, g := range missed {
+		jobs[i] = g.job.Job()
+	}
+	runner.RunJobs(jobs, runner.Options[Result]{Parallelism: opts.Parallelism,
+		OnResult: func(_, _ int, r runner.JobResult[Result]) { done(r) }})
+	return nil
 }

@@ -318,7 +318,7 @@ func executeSpecs(t *testing.T, specs ...[]SimJob) (ShardSummary, *ResultCache, 
 				t.Errorf("%s settled with %d cycles, want 7", key, r.Cycles)
 			}
 			settled[key] = jobErr
-		})
+		}, runLocal)
 	return sum, cache, settled, err
 }
 

@@ -97,9 +97,10 @@ func generateTPCH(snap *SnapshotStore, q tpch.QuerySpec, threads int, scale floa
 // when some planned job carries its identity, so a TPC-H-only run
 // pre-warms nothing. Databases whose snapshot already exists are
 // skipped with a header-only presence check (no multi-GB load just to
-// discard it). The coordinator calls this before dispatch so a fleet
-// sharing the store's filesystem finds the big databases instead of
-// racing to regenerate them; everything smaller is published by
+// discard it). The coordinator runs the same pre-warm over the groups
+// it dispatches, before its fleet launches, so workers sharing the
+// store's filesystem find the big databases instead of racing to
+// regenerate them; everything smaller is published by
 // whichever worker generates it first. No-op without a store. Returns
 // how many databases were generated here (0 = present or not planned).
 func PrewarmSnapshots(name string, opts Options) int {
@@ -112,25 +113,18 @@ func PrewarmSnapshots(name string, opts Options) int {
 		// just declines to guess what to generate.
 		return 0
 	}
-	return prewarmPlanned(opts, plannedIdentities(planned))
+	groups, _ := dedupPlan(planned)
+	return prewarmGroups(opts, groups)
 }
 
-// plannedIdentities collects the workload identity strings a plan's
-// jobs carry in Extra.
-func plannedIdentities(planned []plannedExperiment) map[string]bool {
+// prewarmGroups is the pre-warm core over deduplicated groups.
+// Coordinate feeds it the groups it dispatches, so a run the cache
+// already serves pre-warms nothing and nothing is planned twice.
+func prewarmGroups(opts Options, groups []*fpGroup) int {
 	identities := map[string]bool{}
-	for _, p := range planned {
-		for _, j := range p.jobs {
-			identities[j.Extra] = true
-		}
+	for _, g := range groups {
+		identities[g.job.Extra] = true
 	}
-	return identities
-}
-
-// prewarmPlanned is the pre-warm core over an already-enumerated
-// identity set. Coordinate feeds it the plan it just dispatched from,
-// so the suite is not planned twice and the two views cannot drift.
-func prewarmPlanned(opts Options, identities map[string]bool) int {
 	before := genCount.Load()
 	counts := opts.ycsbRecordCounts()
 	last := counts[len(counts)-1]

@@ -4,12 +4,13 @@ package bulkpim
 // the last experiment, each declared artifact (registry.go) is
 // rendered and emitted the moment its final job settles. The machinery
 // is split in two so every execution path can reuse it — ReportStream
-// is the per-artifact remaining-key countdown fed by job settlements
-// (in-process runner callbacks or coordinator completions), and
-// StreamAssembler reorders the resulting emissions into canonical
-// report order, so the incremental output is the same bytes whatever
-// order jobs settle in. StreamReport wires both onto a local run;
-// Coordinate accepts a Stream hook for the fleet path (coordinate.go).
+// is the per-artifact remaining-key countdown fed by executePlan's
+// per-key settlements (cache hits first, then in-process runs or fleet
+// completions), and StreamAssembler reorders the resulting emissions
+// into canonical report order, so the incremental output is the same
+// bytes whatever order jobs settle in. StreamReport wires both onto a
+// local run; Coordinate accepts a Stream hook for the fleet path
+// (coordinate.go).
 
 import (
 	"errors"
@@ -284,7 +285,7 @@ func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer)
 	if err != nil {
 		return nil, err
 	}
-	sum, runErr := executePlan(name, opts, Shard{}, stream.Settle)
+	sum, runErr := executePlan(name, opts, Shard{}, stream.Settle, runLocal)
 	opts.log("%s: %s", strings.ToLower(name), sum.Jobs)
 
 	var timings []ExperimentTiming
